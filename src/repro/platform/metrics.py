@@ -72,28 +72,16 @@ def summarize(records: list[InvocationRecord]) -> dict:
     """Aggregate a run's records into the usual serving metrics."""
     if not records:
         raise ValueError("no records to summarise")
-    lat = np.array([r.latency_ms for r in records])
-    queue = np.array([r.queueing_ms for r in records])
-    cold = np.array([r.cold for r in records])
-    nodes = np.array([r.node for r in records])
-    ok = np.array([getattr(r, "ok", True) for r in records])
-    node_ids, node_counts = np.unique(nodes, return_counts=True)
-    return {
-        "n_invocations": len(records),
-        "ok_fraction": float(ok.mean()),
-        "cold_fraction": float(cold.mean()),
-        "latency_ms": {
-            "p50": float(np.percentile(lat, 50)),
-            "p90": float(np.percentile(lat, 90)),
-            "p99": float(np.percentile(lat, 99)),
-            "mean": float(lat.mean()),
-        },
-        "queueing_ms_mean": float(queue.mean()),
-        "per_node_invocations": dict(
-            zip(node_ids.tolist(), node_counts.tolist())
-        ),
-        "node_imbalance": float(node_counts.max() / node_counts.mean()),
-    }
+    arrival = np.array([r.arrival_s for r in records])
+    start = np.array([r.start_s for r in records])
+    end = np.array([r.end_s for r in records])
+    return _summary(
+        latency_ms=(end - arrival) * 1e3,
+        queueing_ms=(start - arrival) * 1e3,
+        cold=np.array([r.cold for r in records]),
+        ok=np.array([getattr(r, "ok", True) for r in records]),
+        nodes=np.array([r.node for r in records]),
+    )
 
 
 def summarize_columns(columns: RecordColumns) -> dict:
@@ -102,29 +90,38 @@ def summarize_columns(columns: RecordColumns) -> dict:
     Takes the :class:`~repro.platform.simulator_vec.RecordColumns` a
     cluster's ``drain_columns()`` / ``record_columns()`` returns and
     computes the same summary dict as :func:`summarize` does from the
-    materialised record list, byte for byte -- every intermediate is the
-    same float64 array the record-by-record path would build, so the
-    percentile and mean reductions see identical inputs.
+    materialised record list, byte for byte: both build the same float64
+    arrays (``(end - arrival) * 1e3`` is one IEEE operation per row
+    either way) and hand them to one shared reduction.
     """
-    n = len(columns)
-    if not n:
+    if not len(columns):
         raise ValueError("no records to summarise")
-    lat = columns.latency_ms
-    queue = columns.queueing_ms
-    cold = columns.cold
-    ok = columns.ok
-    node_ids, node_counts = np.unique(columns.node, return_counts=True)
+    return _summary(
+        latency_ms=columns.latency_ms,
+        queueing_ms=columns.queueing_ms,
+        cold=columns.cold,
+        ok=columns.ok,
+        nodes=columns.node,
+    )
+
+
+def _summary(*, latency_ms: np.ndarray, queueing_ms: np.ndarray,
+             cold: np.ndarray, ok: np.ndarray, nodes: np.ndarray) -> dict:
+    """The reduction behind :func:`summarize` and
+    :func:`summarize_columns`: one array per record field in, the
+    summary dict out."""
+    node_ids, node_counts = np.unique(nodes, return_counts=True)
     return {
-        "n_invocations": n,
+        "n_invocations": int(latency_ms.size),
         "ok_fraction": float(ok.mean()),
         "cold_fraction": float(cold.mean()),
         "latency_ms": {
-            "p50": float(np.percentile(lat, 50)),
-            "p90": float(np.percentile(lat, 90)),
-            "p99": float(np.percentile(lat, 99)),
-            "mean": float(lat.mean()),
+            "p50": float(np.percentile(latency_ms, 50)),
+            "p90": float(np.percentile(latency_ms, 90)),
+            "p99": float(np.percentile(latency_ms, 99)),
+            "mean": float(latency_ms.mean()),
         },
-        "queueing_ms_mean": float(queue.mean()),
+        "queueing_ms_mean": float(queueing_ms.mean()),
         "per_node_invocations": dict(
             zip(node_ids.tolist(), node_counts.tolist())
         ),

@@ -76,8 +76,9 @@ class LeastLoadedScheduler:
 
     def pick(self, nodes: Sequence[Node], workload_id: str) -> int:
         del workload_id
+        # ``index`` finds the first minimum: ties go to the lowest index
         loads = [n.busy_count for n in nodes]
-        return int(np.argmin(loads))
+        return loads.index(min(loads))
 
 
 class PowerOfTwoScheduler:

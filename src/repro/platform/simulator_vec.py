@@ -151,13 +151,39 @@ _PURE_SINGLE_NODE_SCHEDULERS = (
     HashAffinityScheduler,
 )
 
-#: Empty-heap sentinel for the CPU replay's cached heap minimum.
+#: Empty-heap sentinel for the CPU replay's cached heap minimum, and the
+#: horizon a drain fires the remaining event calendar up to.
 _INF = float("inf")
 
 
 # ----------------------------------------------------------------------
 # columnar record storage
 # ----------------------------------------------------------------------
+def _materialise(
+    words: Sequence[str],
+    codes: npt.NDArray[np.int32],
+    node: npt.NDArray[np.int32],
+    arrival_s: npt.NDArray[np.float64],
+    start_s: npt.NDArray[np.float64],
+    end_s: npt.NDArray[np.float64],
+    cold: npt.NDArray[np.bool_],
+    ok: npt.NDArray[np.bool_],
+    preemptions: npt.NDArray[np.int32],
+) -> list[InvocationRecord]:
+    """One ``InvocationRecord`` per row of the given column slices.
+
+    Each column crosses into Python in one ``tolist`` pass, which yields
+    exactly the record's field types (``int``, ``float``, ``bool``), so
+    no row touches a NumPy scalar.
+    """
+    return list(map(
+        InvocationRecord,
+        [words[c] for c in codes.tolist()],
+        node.tolist(), arrival_s.tolist(), start_s.tolist(),
+        end_s.tolist(), cold.tolist(), ok.tolist(), preemptions.tolist(),
+    ))
+
+
 @dataclass(frozen=True)
 class RecordColumns:
     """Struct-of-arrays view of a run's invocation records.
@@ -200,29 +226,11 @@ class RecordColumns:
 
     def to_records(self) -> list[InvocationRecord]:
         """Materialise fresh ``InvocationRecord`` objects (one per row)."""
-        words = self.vocabulary
-        return [
-            InvocationRecord(
-                workload_id=words[c],
-                node=nd,
-                arrival_s=a,
-                start_s=s,
-                end_s=e,
-                cold=co,
-                ok=o,
-                preemptions=p,
-            )
-            for c, nd, a, s, e, co, o, p in zip(
-                self.workload_codes.tolist(),
-                self.node.tolist(),
-                self.arrival_s.tolist(),
-                self.start_s.tolist(),
-                self.end_s.tolist(),
-                self.cold.tolist(),
-                self.ok.tolist(),
-                self.preemptions.tolist(),
-            )
-        ]
+        return _materialise(
+            self.vocabulary, self.workload_codes, self.node,
+            self.arrival_s, self.start_s, self.end_s, self.cold, self.ok,
+            self.preemptions,
+        )
 
 
 class _RecordStore:
@@ -553,7 +561,11 @@ class FaaSCluster:
             )
         if self._tail is not None:
             self._materialize_tail()
-        self._advance(timestamp_s)
+        heap = self._heap
+        if heap and heap[0][0] <= timestamp_s:
+            self._advance(timestamp_s)
+        if timestamp_s > self._clock:
+            self._clock = timestamp_s
         if self.autoscaler is not None:
             self._apply_autoscaling(timestamp_s)
         node = self.nodes[self.scheduler.pick(self.nodes, workload_id)]
@@ -632,25 +644,13 @@ class FaaSCluster:
         """
         store = self._store
         out = self._records_list
-        n = store.n
-        if len(out) < n:
-            words = store.words
-            code, node = store.code, store.node
-            arrival, start, end = store.arrival, store.start, store.end
-            cold, ok, preempt = store.cold, store.ok, store.preempt
-            for i in range(len(out), n):
-                out.append(
-                    InvocationRecord(
-                        workload_id=words[code[i]],
-                        node=int(node[i]),
-                        arrival_s=float(arrival[i]),
-                        start_s=float(start[i]),
-                        end_s=float(end[i]),
-                        cold=bool(cold[i]),
-                        ok=bool(ok[i]),
-                        preemptions=int(preempt[i]),
-                    )
-                )
+        lo, hi = len(out), store.n
+        if lo < hi:
+            out.extend(_materialise(
+                store.words, store.code[lo:hi], store.node[lo:hi],
+                store.arrival[lo:hi], store.start[lo:hi], store.end[lo:hi],
+                store.cold[lo:hi], store.ok[lo:hi], store.preempt[lo:hi],
+            ))
         return out
 
     def record_columns(self) -> RecordColumns:
@@ -1963,8 +1963,7 @@ class FaaSCluster:
     def _drain_events(self) -> None:
         if self._tail is not None:
             self._finalize_tail()
-        while self._heap:
-            self._advance(self._heap[0][0])
+        self._advance(_INF)
         stuck = sum(len(n.pending) for n in self.nodes)
         if stuck:
             if self.queue_timeout_s is not None:
@@ -2035,16 +2034,30 @@ class FaaSCluster:
         self._seq_n += 1
 
     def _advance(self, until: float) -> None:
-        while self._heap and self._heap[0][0] <= until:
-            when, _, kind, payload = heapq.heappop(self._heap)
+        """Fire every queued event due at or before ``until``, in heap
+        order; the clock ends on the latest event time fired.
+
+        Callers moving on to a later time set the clock themselves.  A
+        drain passes ``until=inf`` and fires the whole calendar in one
+        call, which leaves the clock where one call per distinct event
+        time would have.
+        """
+        heap = self._heap
+        heappop = heapq.heappop
+        latest = -_INF
+        while heap and heap[0][0] <= until:
+            when, _, kind, payload = heappop(heap)
             self._clock = when
+            if when > latest:
+                latest = when
             if kind == "end":
                 self._on_completion(when, *payload)
             elif kind == "crash":
                 self._on_crash(when, *payload)
             else:  # "expire"
                 self._on_expiry(when, *payload)
-        self._clock = max(self._clock, until)
+        if latest > self._clock:
+            self._clock = latest
 
     def _try_start(self, node: Node, arrival_s: float,
                    workload_id: str) -> bool:
@@ -2057,7 +2070,8 @@ class FaaSCluster:
                 workload_id, now - sandbox.idle_since
             )
             sandbox.expire_generation += 1  # cancels the queued expiry
-            self._trace("sandbox_reused", node.node_id, workload_id)
+            if self.tracer is not None:
+                self._trace("sandbox_reused", node.node_id, workload_id)
             start = now
             cold = False
         else:
@@ -2071,8 +2085,9 @@ class FaaSCluster:
                     return False
                 victim.expire_generation += 1
                 node.remove_idle(victim)
-                self._trace("sandbox_evicted", node.node_id,
-                            victim.workload_id)
+                if self.tracer is not None:
+                    self._trace("sandbox_evicted", node.node_id,
+                                victim.workload_id)
             node.used_memory_mb += profile.memory_mb
             if self.track_memory:
                 self.memory_samples.append(
@@ -2084,7 +2099,8 @@ class FaaSCluster:
                 memory_mb=profile.memory_mb,
             )
             self._sandbox_n += 1
-            self._trace("sandbox_created", node.node_id, workload_id)
+            if self.tracer is not None:
+                self._trace("sandbox_created", node.node_id, workload_id)
             start = now + self.cold_start_model(profile)
             cold = True
 
@@ -2104,7 +2120,7 @@ class FaaSCluster:
                 weight=w,
                 total_weight=node.cpu_weight + w,
             )
-            if dilated > service_s:
+            if dilated > service_s and self.tracer is not None:
                 self._trace("invocation_contended", node.node_id,
                             workload_id)
             service_s = dilated
@@ -2148,7 +2164,8 @@ class FaaSCluster:
         else:
             self._push(now + ttl, "expire",
                        (node, sandbox, sandbox.expire_generation))
-        self._serve_pending(node)
+        if node.pending:
+            self._serve_pending(node)
 
     def _on_crash(self, now: float, node: Node,
                   sandbox: _Sandbox) -> None:
@@ -2159,7 +2176,9 @@ class FaaSCluster:
             node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
         sandbox.expire_generation += 1
         node.used_memory_mb -= sandbox.memory_mb
-        self._trace("sandbox_crashed", node.node_id, sandbox.workload_id)
+        if self.tracer is not None:
+            self._trace("sandbox_crashed", node.node_id,
+                        sandbox.workload_id)
         if self.track_memory:
             self.memory_samples.append(
                 (self._clock, node.node_id, node.used_memory_mb)
@@ -2172,12 +2191,15 @@ class FaaSCluster:
         if sandbox.expire_generation != generation:
             return  # sandbox was reused or evicted in the meantime
         node.remove_idle(sandbox)
-        self._trace("sandbox_expired", node.node_id, sandbox.workload_id)
+        if self.tracer is not None:
+            self._trace("sandbox_expired", node.node_id,
+                        sandbox.workload_id)
         if self.track_memory:
             self.memory_samples.append(
                 (self._clock, node.node_id, node.used_memory_mb)
             )
-        self._serve_pending(node)
+        if node.pending:
+            self._serve_pending(node)
 
     def _serve_pending(self, node: Node) -> None:
         while node.pending:

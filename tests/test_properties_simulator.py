@@ -12,7 +12,9 @@ Properties pinned:
 - keep-alive eviction follows LRU order (least recently idled first);
 - conservation: every submitted request is accounted for exactly once
   across completed-ok, crashed, and dropped;
-- batched scheduler draws are stream-equal to sequential ones.
+- batched scheduler draws are stream-equal to sequential ones;
+- least-loaded picks equal ``np.argmin`` over busy counts (ties go to
+  the lowest index).
 """
 
 import numpy as np
@@ -22,7 +24,9 @@ from repro.platform import (
     CrashHook,
     FaaSCluster,
     FixedKeepAlive,
+    LeastLoadedScheduler,
     NoKeepAlive,
+    Node,
     ObjectFaaSCluster,
     PlatformTracer,
     RandomScheduler,
@@ -304,6 +308,45 @@ if HAVE_HYPOTHESIS:
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 250))
     def test_hypothesis_chunk_size_invariance(seed, n):
         check_chunk_size_invariance(seed, n, False)
+
+
+# ---------------------------------------------------------------------------
+# least-loaded pick: np.argmin semantics
+# ---------------------------------------------------------------------------
+# Both engines share the scheduler class, so the equivalence suite cannot
+# see a change in tie order; np.argmin (first minimum) is the reference.
+BUSY_VECTORS = [
+    [0],
+    [7],
+    [2, 2, 2, 2],
+    [0] * 8,
+    [1, 0, 1, 0],
+    [4, 1, 3, 1, 1],
+    # a narrow value range on up to 9 nodes: ties at the minimum abound
+    *(
+        np.random.default_rng(seed).integers(0, 3, 1 + seed % 9).tolist()
+        for seed in range(24)
+    ),
+]
+
+
+def check_least_loaded_pick_is_argmin(busy):
+    nodes = [Node(i, 1024.0, busy_count=b) for i, b in enumerate(busy)]
+    expected = int(np.argmin([n.busy_count for n in nodes]))
+    assert LeastLoadedScheduler().pick(nodes, "w") == expected
+
+
+@pytest.mark.parametrize("busy", BUSY_VECTORS, ids=str)
+def test_least_loaded_pick_is_argmin(busy):
+    check_least_loaded_pick_is_argmin(busy)
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=100, deadline=None)
+    @given(busy=st.lists(st.integers(0, 4), min_size=1, max_size=16))
+    def test_hypothesis_least_loaded_pick_is_argmin(busy):
+        check_least_loaded_pick_is_argmin(busy)
 
 
 # ---------------------------------------------------------------------------

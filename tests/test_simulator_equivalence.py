@@ -599,17 +599,42 @@ def test_drain_columns_and_summaries_match_object_engine():
 def test_records_property_is_stable_and_lazy():
     ts, wids = make_load(0, n=40)
     cluster = FaaSCluster(make_profiles(), keepalive=NoKeepAlive())
-    cluster.invoke_many(ts[:20], wids[:20])
     first = cluster.records
-    assert cluster.records is first  # decorators rely on the identity
-    n_before = len(first)
-    for t, w in zip(ts[20:].tolist(), wids[20:]):
+    seen = []
+
+    def read():
+        records = cluster.records
+        assert records is first  # decorators rely on the identity
+        # new rows are appended; earlier objects are kept, not rebuilt
+        assert len(records) >= len(seen)
+        assert all(a is b for a, b in zip(records, seen))
+        assert records == cluster.record_columns().to_records()
+        seen[:] = records
+
+    # reads interleaved with batched and scalar submission
+    cluster.invoke_many(ts[:10], wids[:10])
+    read()
+    read()
+    cluster.invoke_many(ts[10:20], wids[10:20])
+    read()
+    for t, w in zip(ts[20:30].tolist(), wids[20:30]):
         cluster.invoke(t, w)
+    read()
+    cluster.invoke_many(ts[30:], wids[30:])
+    read()
     assert cluster.drain() is first  # same list, now fully materialised
+    read()
     assert len(first) == 40
-    assert n_before <= 40
-    cols = cluster.record_columns()
-    assert cols.to_records() == first
+    # both materialisers hand out exactly the record's field types
+    for r in first + cluster.record_columns().to_records():
+        assert type(r.workload_id) is str
+        assert type(r.node) is int
+        assert type(r.arrival_s) is float
+        assert type(r.start_s) is float
+        assert type(r.end_s) is float
+        assert type(r.cold) is bool
+        assert type(r.ok) is bool
+        assert type(r.preemptions) is int
 
 
 # ---------------------------------------------------------------------------
