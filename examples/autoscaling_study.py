@@ -16,8 +16,10 @@ import numpy as np
 from repro.core import shrink
 from repro.loadgen import generate_request_trace, replay
 from repro.platform import (
+    CpuModel,
     FaaSCluster,
     ReactiveAutoscaler,
+    ShortestFirstCpu,
     profiles_from_spec,
     summarize,
 )
@@ -55,9 +57,11 @@ def main() -> None:
             min_nodes=2, max_nodes=16, target_busy_per_node=3.0,
             evaluate_every_s=30.0, scale_down_grace_s=180.0)),
     ):
-        backend = FaaSCluster(profiles, n_nodes=nodes,
-                              node_memory_mb=8_192.0, cores_per_node=4,
-                              autoscaler=policy)
+        backend = FaaSCluster(
+            profiles, n_nodes=nodes, node_memory_mb=8_192.0,
+            cpu=CpuModel(cores=4, policy=ShortestFirstCpu()),
+            autoscaler=policy,
+        )
         summary = summarize(replay(load, backend).records)
         hours = (node_hours(policy.events, horizon, nodes)
                  if policy else nodes * horizon / 3600.0)

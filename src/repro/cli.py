@@ -207,6 +207,17 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _replay_keepalive(name, ttl_s):
+    """The ``repro replay --keepalive`` policy called ``name``."""
+    from repro.platform import FixedKeepAlive, HistogramKeepAlive, NoKeepAlive
+
+    return {
+        "none": NoKeepAlive,
+        "fixed": lambda: FixedKeepAlive(ttl_s),
+        "histogram": HistogramKeepAlive,
+    }[name]()
+
+
 def _sim_backend_factory(spec_path, nodes, node_memory, scheduler_name,
                          keepalive_name, keepalive_ttl, seed,
                          error_rate):
@@ -220,26 +231,11 @@ def _sim_backend_factory(spec_path, nodes, node_memory, scheduler_name,
         FaaSCluster,
         FaultProfile,
         FaultyBackend,
-        FixedKeepAlive,
-        HashAffinityScheduler,
-        HistogramKeepAlive,
-        LeastLoadedScheduler,
-        NoKeepAlive,
-        RandomScheduler,
         profiles_from_spec,
     )
+    from repro.platform.schedulers import make_scheduler
 
     spec = ExperimentSpec.load(spec_path)
-    scheduler = {
-        "least-loaded": LeastLoadedScheduler(),
-        "random": RandomScheduler(seed),
-        "hash": HashAffinityScheduler(),
-    }[scheduler_name]
-    keepalive = {
-        "none": NoKeepAlive(),
-        "fixed": FixedKeepAlive(keepalive_ttl),
-        "histogram": HistogramKeepAlive(),
-    }[keepalive_name]
     profile = None
     if error_rate is not None:
         profile = FaultProfile()
@@ -248,8 +244,8 @@ def _sim_backend_factory(spec_path, nodes, node_memory, scheduler_name,
         profiles_from_spec(spec),
         n_nodes=nodes,
         node_memory_mb=node_memory,
-        scheduler=scheduler,
-        keepalive=keepalive,
+        scheduler=make_scheduler(scheduler_name, seed),
+        keepalive=_replay_keepalive(keepalive_name, keepalive_ttl),
         fault_hook=(profile.simulator_hook()
                     if profile is not None else None),
     )
@@ -367,15 +363,10 @@ def _cmd_replay(args) -> int:
         FaaSCluster,
         FaultProfile,
         FaultyBackend,
-        FixedKeepAlive,
-        HashAffinityScheduler,
-        HistogramKeepAlive,
-        LeastLoadedScheduler,
-        NoKeepAlive,
-        RandomScheduler,
         profiles_from_spec,
         summarize,
     )
+    from repro.platform.schedulers import make_scheduler
 
     spec = ExperimentSpec.load(args.spec)
     registry, drift = _setup_telemetry(args, spec)
@@ -399,17 +390,6 @@ def _cmd_replay(args) -> int:
                              "--service (use --error-rate)")
         return _cmd_replay_service(args, spec, registry, retry)
 
-    scheduler = {
-        "least-loaded": LeastLoadedScheduler(),
-        "random": RandomScheduler(args.seed),
-        "hash": HashAffinityScheduler(),
-    }[args.scheduler]
-    keepalive = {
-        "none": NoKeepAlive(),
-        "fixed": FixedKeepAlive(args.keepalive_ttl),
-        "histogram": HistogramKeepAlive(),
-    }[args.keepalive]
-
     profile = None
     if args.fault_profile is not None:
         try:
@@ -424,8 +404,8 @@ def _cmd_replay(args) -> int:
         profiles_from_spec(spec),
         n_nodes=args.nodes,
         node_memory_mb=args.node_memory,
-        scheduler=scheduler,
-        keepalive=keepalive,
+        scheduler=make_scheduler(args.scheduler, args.seed),
+        keepalive=_replay_keepalive(args.keepalive, args.keepalive_ttl),
         fault_hook=(profile.simulator_hook()
                     if profile is not None else None),
     )
@@ -684,7 +664,10 @@ def _cmd_simulate(args) -> int:
                 )
         return chosen
 
-    schedulers = _names(args.schedulers, SCHEDULER_NAMES, "schedulers")
+    schedulers = (
+        SCHEDULER_NAMES if args.schedulers is None
+        else _names(args.schedulers, SCHEDULER_NAMES, "schedulers")
+    )
     keepalives = _names(args.keepalives, KEEPALIVE_NAMES, "keepalives")
     cpu_policies = _names(args.cpu_policies, CPU_POLICY_NAMES,
                           "cpu-policies")
@@ -965,11 +948,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keepalive-ttl", type=float, default=5.0,
                    help="TTL for the fixed policy / fallback default "
                         "for the adaptive ones")
-    p.add_argument("--schedulers",
-                   default=",".join(
-                       ("least-loaded", "random", "power-of-two",
-                        "locality", "hash")),
-                   help="comma-separated scheduler names to sweep")
+    p.add_argument("--schedulers", default=None,
+                   help="comma-separated scheduler names to sweep "
+                        "(default: every built-in scheduler)")
     p.add_argument("--keepalives",
                    default="none,fixed,histogram,hybrid",
                    help="comma-separated keep-alive names to sweep")

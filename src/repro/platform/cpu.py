@@ -1,12 +1,14 @@
 """Deterministic CPU-contention model for the cluster simulators.
 
-The simulators' original resource model is memory-only (plus the crude
-``cores_per_node`` oversubscription knob); this module adds a proper
-CPU model -- per-node core counts, a timeslice quantum, preemption
+The simulators' base resource model is memory-only; this module adds
+a CPU model -- per-node core counts, a timeslice quantum, preemption
 counts, and run-queue-aware service-time dilation -- shared by both
 engines so contention-sensitive studies (tail latency under CPU
 pressure, scheduling-policy shootouts) are possible without giving up
-the byte-identity contract.
+the byte-identity contract.  The policies' :meth:`CpuPolicy.contend`
+and :meth:`CpuPolicy.weight` are the only implementation of
+contention: every run with a :class:`CpuModel` takes the engines'
+scalar event loop, which calls them once per admission.
 
 Semantics (identical in both engines, applied at admission time like
 every other service-time modifier):
@@ -17,9 +19,8 @@ every other service-time modifier):
 - under oversubscription the active :class:`CpuPolicy` decides how much
   wall-clock the invocation's CPU demand stretches to and how many
   times it is preempted (timeslice expiries), as a pure function of the
-  admission-time run-queue state -- the dilation is fixed at admission,
-  mirroring the engines' long-standing "no re-scheduling mid-flight"
-  contract for ``cores_per_node``;
+  admission-time run-queue state -- the dilation is fixed at admission
+  (the engines never re-schedule an invocation mid-flight);
 - every policy is **work conserving** (``concurrent <= cores`` never
   dilates) and never shrinks service time; the property suite
   (``tests/test_properties_cpu.py``) pins both invariants.
@@ -48,10 +49,9 @@ __all__ = [
 class CpuPolicy(Protocol):
     """What the engines require of a CPU scheduling policy.
 
-    Both hooks must be *pure*: the engines call them from the scalar
-    event loop and from the bulk fast path's per-node replay, and
-    byte-identity across engines holds only if the same arguments
-    always produce the same floats.
+    Both hooks must be *pure*: both engines call them from their scalar
+    event loops, and byte-identity across engines holds only if the
+    same arguments always produce the same floats.
     """
 
     def weight(self, workload_id: str) -> float:
@@ -202,10 +202,13 @@ class ShortestFirstCpu:
 class CpuModel:
     """Per-node CPU topology + scheduling policy.
 
-    Passed to either engine as the ``cpu=`` knob (mutually exclusive
-    with the legacy ``cores_per_node`` slowdown).  ``quantum_s`` is the
-    scheduler timeslice used for preemption accounting; 20 ms mirrors
-    a typical CFS target latency share.
+    Passed to either engine as the ``cpu=`` knob; a cluster with one
+    always runs the scalar event loop.  ``quantum_s`` is the scheduler
+    timeslice used for preemption accounting; 20 ms mirrors a typical
+    CFS target latency share.  ``CpuModel(cores=k,
+    policy=ShortestFirstCpu())`` gives the classic first-order
+    oversubscription slowdown (service time times ``concurrent / k``)
+    for every invocation longer than one quantum.
     """
 
     cores: int

@@ -40,11 +40,8 @@ from repro.platform.keepalive import (
     NoKeepAlive,
 )
 from repro.platform.schedulers import (
-    HashAffinityScheduler,
-    LeastLoadedScheduler,
-    LocalityAwareScheduler,
-    PowerOfTwoScheduler,
-    RandomScheduler,
+    SCHEDULERS as _SCHEDULER_CLASSES,
+    make_scheduler,
 )
 from repro.platform.simulator import ObjectFaaSCluster
 from repro.platform.simulator_vec import (
@@ -63,9 +60,7 @@ __all__ = [
 ]
 
 KEEPALIVES = ("none", "fixed", "histogram", "hybrid")
-SCHEDULERS = (
-    "least-loaded", "random", "power-of-two", "locality", "hash",
-)
+SCHEDULERS = tuple(_SCHEDULER_CLASSES)
 BATCH_MODES = ("scalar", "bulk", "mixed", "chunked")
 CPU_POLICIES = ("fifo", "fair", "stf")
 
@@ -203,13 +198,7 @@ def _build_kwargs(cfg: FuzzConfig, tracer: PlatformTracer | None
             min_observations=4,
         ),
     }[cfg.keepalive]()
-    scheduler = {
-        "least-loaded": LeastLoadedScheduler,
-        "random": lambda: RandomScheduler(seed=cfg.seed),
-        "power-of-two": lambda: PowerOfTwoScheduler(seed=cfg.seed),
-        "locality": LocalityAwareScheduler,
-        "hash": HashAffinityScheduler,
-    }[cfg.scheduler]()
+    scheduler = make_scheduler(cfg.scheduler, cfg.seed)
     kwargs: dict[str, Any] = dict(
         n_nodes=cfg.n_nodes,
         node_memory_mb=cfg.node_memory_mb,

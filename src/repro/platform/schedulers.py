@@ -8,6 +8,9 @@ examples exercise under FaaSRail load:
 - :class:`HashAffinityScheduler` -- workload-sticky placement (maximises
   warm-sandbox reuse, risks imbalance under skewed popularity -- exactly
   the tension the paper's cluster-level discussion highlights).
+
+:data:`SCHEDULERS` maps every built-in scheduler's name to its class;
+:func:`make_scheduler` builds one by name.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ if TYPE_CHECKING:
     from repro.platform.simcore import Node
 
 __all__ = [
+    "SCHEDULERS",
     "HashAffinityScheduler",
     "LeastLoadedScheduler",
     "LocalityAwareScheduler",
     "PowerOfTwoScheduler",
     "RandomScheduler",
+    "make_scheduler",
 ]
 
 
@@ -174,3 +179,23 @@ class HashAffinityScheduler:
 
     def restore(self, state: Any) -> None:
         """No RNG state to rewind (deterministic picks)."""
+
+
+#: Name -> class of every built-in scheduler, in the fixed order the
+#: shootout grid and the differential fuzzer enumerate them.
+SCHEDULERS: dict[str, type] = {
+    "least-loaded": LeastLoadedScheduler,
+    "random": RandomScheduler,
+    "power-of-two": PowerOfTwoScheduler,
+    "locality": LocalityAwareScheduler,
+    "hash": HashAffinityScheduler,
+}
+
+_SEEDED = (RandomScheduler, PowerOfTwoScheduler)
+
+
+def make_scheduler(name: str, seed: int = 0) -> Any:
+    """A fresh scheduler by :data:`SCHEDULERS` name; the randomised
+    ones draw from ``seed``.  Raises ``KeyError`` on an unknown name."""
+    cls = SCHEDULERS[name]
+    return cls(seed=seed) if cls in _SEEDED else cls()

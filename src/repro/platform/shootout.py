@@ -48,13 +48,7 @@ from repro.platform.keepalive import (
     NoKeepAlive,
 )
 from repro.platform.metrics import cpu_utilization, summarize_columns
-from repro.platform.schedulers import (
-    HashAffinityScheduler,
-    LeastLoadedScheduler,
-    LocalityAwareScheduler,
-    PowerOfTwoScheduler,
-    RandomScheduler,
-)
+from repro.platform.schedulers import SCHEDULERS, make_scheduler
 from repro.platform.simulator_vec import FaaSCluster, WorkloadProfile
 from repro.telemetry import registry as _telemetry
 
@@ -72,9 +66,7 @@ __all__ = [
     "write_tables",
 ]
 
-SCHEDULER_NAMES = (
-    "least-loaded", "random", "power-of-two", "locality", "hash",
-)
+SCHEDULER_NAMES = tuple(SCHEDULERS)
 KEEPALIVE_NAMES = ("none", "fixed", "histogram", "hybrid")
 CPU_POLICY_NAMES = ("fifo", "fair", "stf")
 
@@ -190,16 +182,6 @@ def make_profiles(config: ShootoutConfig) -> dict[str, WorkloadProfile]:
     }
 
 
-def _make_scheduler(name: str, seed: int) -> Any:
-    return {
-        "least-loaded": LeastLoadedScheduler,
-        "random": lambda: RandomScheduler(seed=seed),
-        "power-of-two": lambda: PowerOfTwoScheduler(seed=seed),
-        "locality": LocalityAwareScheduler,
-        "hash": HashAffinityScheduler,
-    }[name]()
-
-
 def _make_keepalive(name: str, ttl_s: float) -> Any:
     return {
         "none": NoKeepAlive,
@@ -239,7 +221,7 @@ def run_cell(config: ShootoutConfig, cell: ShootoutCell) -> dict[str, Any]:
         n_nodes=config.n_nodes,
         node_memory_mb=config.node_memory_mb,
         keepalive=_make_keepalive(cell.keepalive, config.keepalive_ttl_s),
-        scheduler=_make_scheduler(cell.scheduler, config.seed),
+        scheduler=make_scheduler(cell.scheduler, config.seed),
         queue_timeout_s=config.queue_timeout_s,
         cpu=CpuModel(
             cores=config.cores,

@@ -74,7 +74,6 @@ class ObjectFaaSCluster:
         keepalive=None,
         cold_start_model=default_cold_start_s,
         service_time_cv: float = 0.0,
-        cores_per_node: int | None = None,
         cpu=None,
         track_memory: bool = False,
         queue_timeout_s: float | None = None,
@@ -89,18 +88,15 @@ class ObjectFaaSCluster:
             Coefficient of variation of per-invocation service time
             (mean-preserving lognormal noise on the profile runtime);
             0 keeps service deterministic.
-        cores_per_node:
-            When set, an invocation starting while more than this many
-            sandboxes are busy on its node runs slowed by the
-            oversubscription factor -- a first-order CPU-contention model
-            (the slowdown is fixed at start; no re-scheduling mid-flight).
         cpu:
             Optional :class:`~repro.platform.cpu.CpuModel`: per-node
             core counts, a timeslice quantum, and a pluggable scheduling
             policy.  Under oversubscription the policy dilates service
-            time and counts preemptions (recorded per invocation);
-            dilation is fixed at admission, like ``cores_per_node``,
-            with which it is mutually exclusive.
+            time and counts preemptions (recorded per invocation); the
+            dilation is fixed at admission (no re-scheduling
+            mid-flight).  ``CpuModel(cores=k,
+            policy=ShortestFirstCpu())`` is the first-order
+            oversubscription slowdown by ``concurrent / k``.
         track_memory:
             Record ``(time, node, used_memory_mb)`` samples at every
             sandbox admission/reclaim, exposed as ``memory_samples``.
@@ -133,13 +129,6 @@ class ObjectFaaSCluster:
             raise ValueError("cluster needs at least one workload profile")
         if service_time_cv < 0:
             raise ValueError("service_time_cv must be non-negative")
-        if cores_per_node is not None and cores_per_node <= 0:
-            raise ValueError("cores_per_node must be positive")
-        if cpu is not None and cores_per_node is not None:
-            raise ValueError(
-                "cpu and cores_per_node are mutually exclusive; the "
-                "CpuModel replaces the first-order slowdown"
-            )
         if queue_timeout_s is not None and queue_timeout_s <= 0:
             raise ValueError("queue_timeout_s must be positive")
         biggest = max(p.memory_mb for p in profiles.values())
@@ -162,7 +151,6 @@ class ObjectFaaSCluster:
         self._node_memory_mb = node_memory_mb
         self._next_node_id = n_nodes
         self.service_time_cv = service_time_cv
-        self.cores_per_node = cores_per_node
         self.cpu = cpu
         self.track_memory = track_memory
         self.memory_samples: list[tuple[float, int, float]] = []
@@ -342,11 +330,6 @@ class ObjectFaaSCluster:
                             workload_id)
             service_s = dilated
             node.cpu_weight += w
-        elif self.cores_per_node is not None:
-            # oversubscription slowdown, fixed at admission time
-            concurrent = node.busy_count + 1
-            if concurrent > self.cores_per_node:
-                service_s *= concurrent / self.cores_per_node
         end = start + service_s
         ok = True
         if self.fault_hook is not None:

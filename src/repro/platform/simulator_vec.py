@@ -28,10 +28,11 @@ struct-of-arrays storage:
   (:meth:`invoke_chunked`), is finalised vectorised at drain, or is
   materialised into ordinary heap events if scalar traffic follows.
 - **Everything else** -- keep-alive LRU stacks, stateful schedulers,
-  autoscaling, fault hooks, tracing -- runs the exact control flow of
-  the reference engine, on the same :class:`~repro.platform.simcore.Node`
-  objects, so the cluster-size-bounded control plane stays a faithful
-  oracle target and external policies observe identical state.
+  the CPU-contention model, autoscaling, fault hooks, tracing -- runs
+  the exact control flow of the reference engine, on the same
+  :class:`~repro.platform.simcore.Node` objects, so the
+  cluster-size-bounded control plane stays a faithful oracle target
+  and external policies observe identical state.
 
 Determinism contract: for any input and configuration, this engine and
 :class:`repro.platform.simulator.ObjectFaaSCluster` produce bit-equal
@@ -47,7 +48,6 @@ See docs/SIMULATOR.md for how to add a policy without breaking this.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -56,12 +56,7 @@ from typing import Any, Protocol, cast
 import numpy as np
 import numpy.typing as npt
 
-from repro.platform.cpu import (
-    CpuModel,
-    FairShareCpu,
-    FifoCpu,
-    ShortestFirstCpu,
-)
+from repro.platform.cpu import CpuModel
 from repro.platform.keepalive import FixedKeepAlive, NoKeepAlive
 from repro.platform.metrics import InvocationRecord
 from repro.platform.schedulers import (
@@ -151,8 +146,7 @@ _PURE_SINGLE_NODE_SCHEDULERS = (
     HashAffinityScheduler,
 )
 
-#: Empty-heap sentinel for the CPU replay's cached heap minimum, and the
-#: horizon a drain fires the remaining event calendar up to.
+#: The horizon a drain fires the remaining event calendar up to.
 _INF = float("inf")
 
 
@@ -310,7 +304,6 @@ class _RecordStore:
         *,
         cold: bool | npt.NDArray[np.bool_],
         ok: bool,
-        preempt: npt.NDArray[np.int32] | None = None,
     ) -> None:
         n0 = self.n
         n1 = n0 + int(codes.size)
@@ -322,7 +315,7 @@ class _RecordStore:
         self.end[n0:n1] = end_s
         self.cold[n0:n1] = cold
         self.ok[n0:n1] = ok
-        self.preempt[n0:n1] = 0 if preempt is None else preempt
+        self.preempt[n0:n1] = 0  # bulk slabs never run a CPU model
         self.n = n1
 
     def columns(self) -> RecordColumns:
@@ -447,12 +440,6 @@ class _BulkTail:
         default_factory=lambda: _F0
     )
     idle_key_tie: npt.NDArray[np.int64] = field(default_factory=lambda: _I0)
-    #: Per-node ``cpu_weight`` after all outstanding completions fire
-    #: (CPU-model runs only; empty otherwise).  Like ``final_used``, it
-    #: is folded in the reference engine's exact IEEE order.
-    final_weight: npt.NDArray[np.float64] = field(
-        default_factory=lambda: _F0
-    )
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +468,6 @@ class FaaSCluster:
             [WorkloadProfile], float
         ] = default_cold_start_s,
         service_time_cv: float = 0.0,
-        cores_per_node: int | None = None,
         cpu: CpuModel | None = None,
         track_memory: bool = False,
         queue_timeout_s: float | None = None,
@@ -498,13 +484,6 @@ class FaaSCluster:
             raise ValueError("cluster needs at least one workload profile")
         if service_time_cv < 0:
             raise ValueError("service_time_cv must be non-negative")
-        if cores_per_node is not None and cores_per_node <= 0:
-            raise ValueError("cores_per_node must be positive")
-        if cpu is not None and cores_per_node is not None:
-            raise ValueError(
-                "cpu and cores_per_node are mutually exclusive; the "
-                "CpuModel replaces the first-order slowdown"
-            )
         if queue_timeout_s is not None and queue_timeout_s <= 0:
             raise ValueError("queue_timeout_s must be positive")
         biggest = max(p.memory_mb for p in profiles.values())
@@ -529,7 +508,6 @@ class FaaSCluster:
         self._node_memory_mb = node_memory_mb
         self._next_node_id = n_nodes
         self.service_time_cv = service_time_cv
-        self.cores_per_node = cores_per_node
         self.cpu = cpu
         self.track_memory = track_memory
         self.memory_samples: list[tuple[float, int, float]] = []
@@ -684,18 +662,15 @@ class FaaSCluster:
         (``NoKeepAlive`` / ``FixedKeepAlive``; a histogram policy learns
         from reuse order mid-slab), no policy callback may observe
         intermediate state (autoscaler / tracer / fault hook), cold
-        starts are pure per-profile values, no oversubscription slowdown
-        or memory sampling, and no *scalar* events are in flight -- an
-        outstanding bulk carry with the same TTL is fine, it is part of
-        the vectorised state.  Service-time jitter is allowed: the slab
-        pre-draws one lognormal array stream-equal to the scalar
-        per-request draws and rewinds the RNG on fallback.  A
-        :class:`~repro.platform.cpu.CpuModel` is allowed with zero TTL
-        only: the teardown commit replays each node's run queue
-        sequentially (the dilation feedback loop has no closed form),
-        but warm reuse under contention couples pools through busy
-        counts, which the keep-alive commit's independent pool replay
-        cannot see.
+        starts are pure per-profile values, no memory sampling, and no
+        *scalar* events are in flight -- an outstanding bulk carry with
+        the same TTL is fine, it is part of the vectorised state.  Any
+        :class:`~repro.platform.cpu.CpuModel` makes a run ineligible:
+        its policies' ``contend``/``weight`` are the one implementation
+        of contention, and only the scalar loop calls them.
+        Service-time jitter is allowed: the slab pre-draws one lognormal
+        array stream-equal to the scalar per-request draws and rewinds
+        the RNG on fallback.
         """
         ttl = self._bulk_ttl()
         if ttl is None:
@@ -706,9 +681,7 @@ class FaaSCluster:
             or self.fault_hook is not None
         ):
             return False
-        if self.cores_per_node is not None or self.track_memory:
-            return False
-        if self.cpu is not None and ttl > 0:
+        if self.cpu is not None or self.track_memory:
             return False
         if self.cold_start_model is not default_cold_start_s:
             return False
@@ -843,10 +816,7 @@ class FaaSCluster:
         completion, no expiry events exist -- so the whole slab is one
         event calendar per node (+mem at arrival, -mem at completion,
         completions carried from earlier chunks included), cumsum-folded
-        in the reference engine's exact order.  Under a CPU model the
-        completion times first come out of a sequential per-node
-        run-queue replay (dilation feeds back into later dilations);
-        everything downstream of the ends stays vectorised."""
+        in the reference engine's exact order."""
         n = int(ts.size)
         n_nodes = len(self.nodes)
         last_t = float(ts[-1])
@@ -859,18 +829,7 @@ class FaaSCluster:
         else:
             c_end, c_mem = _F0, _F0
             c_seq, c_node, c_codes = _I0, _I0, _I0
-        preempt: npt.NDArray[np.int32] | None = None
-        new_weight: npt.NDArray[np.float64] | None = None
-        final_weight: npt.NDArray[np.float64] | None = None
-        if self.cpu is not None:
-            end, preempt, new_weight, final_weight = (
-                self._cpu_teardown_replay(
-                    ts, codes, node_idx, svc_req, start, last_t, seq0,
-                    c_end, c_seq, c_node, c_codes, words,
-                )
-            )
-        else:
-            end = start + svc_req
+        end = start + svc_req
 
         # Sorting by (node, time, completion-before-arrival, heap seq)
         # reproduces the reference engine's event order exactly: events
@@ -933,13 +892,11 @@ class FaaSCluster:
         self._clock = last_t
         self._store.extend(
             self._store_codes()[codes], self._node_ids()[node_idx],
-            ts, start, end, cold=True, ok=True, preempt=preempt,
+            ts, start, end, cold=True, ok=True,
         )
         for b, node in enumerate(self.nodes):
             node.busy_count = int(busy_after[b])
             node.used_memory_mb = float(new_used[b])
-            if new_weight is not None:
-                node.cpu_weight = float(new_weight[b])
         out_new = end > last_t
         out_old = c_end > last_t
         t_ends = np.concatenate((end[out_new], c_end[out_old]))
@@ -958,213 +915,10 @@ class FaaSCluster:
                     (req_mem[out_new], c_mem[out_old])
                 ),
                 codes=np.concatenate((codes[out_new], c_codes[out_old])),
-                final_weight=(
-                    final_weight if final_weight is not None else _F0
-                ),
             )
         else:
-            # no carry survives: every completion fired in-slab, so the
-            # committed new_weight already equals the final fold
             self._tail = None
         return True
-
-    def _cpu_teardown_replay(
-        self,
-        ts: npt.NDArray[np.float64],
-        codes: npt.NDArray[np.int64],
-        node_idx: npt.NDArray[np.int64],
-        svc_req: npt.NDArray[np.float64],
-        start: npt.NDArray[np.float64],
-        last_t: float,
-        seq0: int,
-        c_end: npt.NDArray[np.float64],
-        c_seq: npt.NDArray[np.int64],
-        c_node: npt.NDArray[np.int64],
-        c_codes: npt.NDArray[np.int64],
-        words: list[str],
-    ) -> tuple[
-        npt.NDArray[np.float64],
-        npt.NDArray[np.int32],
-        npt.NDArray[np.float64],
-        npt.NDArray[np.float64],
-    ]:
-        """Sequential per-node run-queue replay for a zero-TTL slab
-        under a CPU model.
-
-        Completion times feed back into later dilations (each end
-        changes the busy count the next arrival sees), so no closed
-        form exists; instead each node replays its own arrivals against
-        a ``(end, seq, weight)`` heap -- the exact per-node subsequence
-        of the reference engine's global event order, so busy counts,
-        weight folds, and tie-breaking are bit-identical.  Nodes only
-        couple through memory, which the caller still checks
-        vectorised.  Returns ``(end, preemptions, post-slab weight,
-        final weight)``; the weight folds replicate the scalar
-        ``+=``/``-=`` chains in IEEE order.
-
-        The built-in policies are inlined (dispatched on exact type, so
-        a subclass overriding ``contend`` still takes the generic call)
-        -- each inlined expression keeps the operand order of its
-        :mod:`repro.platform.cpu` counterpart, which is what makes the
-        floats bit-identical; unknown policies pay one ``contend`` call
-        per arrival.
-        """
-        cpu = self.cpu
-        assert cpu is not None
-        policy = cpu.policy
-        contend = policy.contend
-        cores = cpu.cores
-        quantum = cpu.quantum_s
-        n = int(ts.size)
-        n_nodes = len(self.nodes)
-        new_weight = np.empty(n_nodes, np.float64)
-        final_weight = np.empty(n_nodes, np.float64)
-        order = _group_stable(node_idx)
-        counts = np.bincount(node_idx, minlength=n_nodes)
-        bounds = np.zeros(n_nodes + 1, np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        bounds_l = bounds.tolist()
-        # gather once so each node's inner loop walks flat lists in
-        # lockstep instead of double-indirecting through the permutation
-        ts_g = ts[order].tolist()
-        svc_g = svc_req[order].tolist()
-        start_g = start[order].tolist()
-        end_g = [0.0] * n
-        pre_g = [0] * n
-        heappush, heappop = heapq.heappush, heapq.heappop
-        ceil = math.ceil
-        kind = type(policy)
-        q_over_c = quantum / cores
-        if kind is FifoCpu or kind is ShortestFirstCpu:
-            # both weigh every workload at exactly 1.0, so the scalar
-            # ``+=``/``-=`` chains only ever step an integer-valued
-            # float by 1.0 -- exact IEEE ops whose result is the net
-            # count, reproducible without touching a float per event.
-            # Batch pops only decrement that count, so the pop order
-            # among tied ends is unobservable and the heap shrinks to
-            # bare end floats -- no ``(end, seq)`` tie-break needed.
-            carried2: list[list[float]] = [[] for _ in range(n_nodes)]
-            for ce, cb in zip(c_end.tolist(), c_node.tolist()):
-                carried2[cb].append(ce)
-            is_fifo = kind is FifoCpu
-            # ceil(service / quantum) vectorised up front: np.ceil on
-            # the same float64 quotient returns the same integer value
-            # math.ceil would, so the per-event formula keeps its bits
-            sl_g = np.ceil(
-                svc_req[order] / quantum
-            ).astype(np.int64).tolist()
-            for b, node in enumerate(self.nodes):
-                heap2 = carried2[b]
-                nc0 = len(heap2)
-                heapq.heapify(heap2)
-                lo, hi = bounds_l[b], bounds_l[b + 1]
-                rows2 = zip(ts_g[lo:hi], svc_g[lo:hi], start_g[lo:hi],
-                            sl_g[lo:hi], range(lo, hi))
-                depth = nc0
-                # cache the heap minimum in a local float so the hot
-                # exit test is one compare, not a subscript
-                nxt = heap2[0] if heap2 else _INF
-                if is_fifo:
-                    for t, s, st, sl, i in rows2:
-                        while nxt <= t:
-                            heappop(heap2)
-                            depth -= 1
-                            nxt = heap2[0] if heap2 else _INF
-                        excess = depth + 1 - cores
-                        if excess <= 0:
-                            e = st + s
-                        else:
-                            e = st + (s + (sl * excess) * q_over_c)
-                            pre_g[i] = sl - 1
-                        end_g[i] = e
-                        depth += 1
-                        heappush(heap2, e)
-                        nxt = heap2[0]
-                else:
-                    for t, s, st, sl, i in rows2:
-                        while nxt <= t:
-                            heappop(heap2)
-                            depth -= 1
-                            nxt = heap2[0] if heap2 else _INF
-                        concurrent = depth + 1
-                        if concurrent <= cores or s <= quantum:
-                            e = st + s
-                        else:
-                            e = st + s * (concurrent / cores)
-                            pre_g[i] = sl - 1
-                        end_g[i] = e
-                        depth += 1
-                        heappush(heap2, e)
-                        nxt = heap2[0]
-                while heap2 and heap2[0] <= last_t:
-                    heappop(heap2)
-                w0 = node.cpu_weight
-                new_weight[b] = w0 + (len(heap2) - nc0)
-                final_weight[b] = w0 - nc0
-        else:
-            wt = [policy.weight(w) for w in words]
-            w_g = np.asarray(wt, np.float64)[codes[order]].tolist()
-            seq_g = (seq0 + order).tolist()
-            carried: list[list[tuple[float, int, float]]] = [
-                [] for _ in range(n_nodes)
-            ]
-            for ce, cq, cb, cc in zip(
-                c_end.tolist(), c_seq.tolist(), c_node.tolist(),
-                c_codes.tolist(),
-            ):
-                carried[cb].append((ce, cq, wt[cc]))
-            for b, node in enumerate(self.nodes):
-                heap = carried[b]
-                heapq.heapify(heap)
-                wtot = node.cpu_weight
-                lo, hi = bounds_l[b], bounds_l[b + 1]
-                rows = zip(ts_g[lo:hi], w_g[lo:hi], svc_g[lo:hi],
-                           start_g[lo:hi], seq_g[lo:hi], range(lo, hi))
-                if kind is FairShareCpu:
-                    for t, w, s, st, q, i in rows:
-                        while heap and heap[0][0] <= t:
-                            wtot -= heappop(heap)[2]
-                        if len(heap) + 1 <= cores:
-                            e = st + s
-                        else:
-                            share = cores * w / (wtot + w)
-                            if share >= 1.0:
-                                e = st + s
-                            else:
-                                d = s / share
-                                e = st + d
-                                pre_g[i] = ceil(d / quantum) - 1
-                        end_g[i] = e
-                        wtot += w
-                        heappush(heap, (e, q, w))
-                else:
-                    for t, w, s, st, q, i in rows:
-                        while heap and heap[0][0] <= t:
-                            wtot -= heappop(heap)[2]
-                        dilated, pre = contend(
-                            s,
-                            cores=cores,
-                            quantum_s=quantum,
-                            concurrent=len(heap) + 1,
-                            weight=w,
-                            total_weight=wtot + w,
-                        )
-                        e = st + dilated
-                        end_g[i] = e
-                        pre_g[i] = pre
-                        wtot += w
-                        heappush(heap, (e, q, w))
-                while heap and heap[0][0] <= last_t:
-                    wtot -= heappop(heap)[2]
-                new_weight[b] = wtot
-                while heap:
-                    wtot -= heappop(heap)[2]
-                final_weight[b] = wtot
-        end = np.empty(n, np.float64)
-        preempt = np.empty(n, np.int32)
-        end[order] = end_g
-        preempt[order] = pre_g
-        return end, preempt, new_weight, final_weight
 
     def _bulk_commit_keepalive(
         self,
@@ -1954,8 +1708,6 @@ class FaaSCluster:
         for b, node in enumerate(self.nodes):
             node.busy_count = 0
             node.used_memory_mb = float(tail.final_used[b])
-            if tail.final_weight.size:
-                node.cpu_weight = float(tail.final_weight[b])
 
     # ------------------------------------------------------------------
     # drain internals
@@ -2125,11 +1877,6 @@ class FaaSCluster:
                             workload_id)
             service_s = dilated
             node.cpu_weight += w
-        elif self.cores_per_node is not None:
-            # oversubscription slowdown, fixed at admission time
-            concurrent = node.busy_count + 1
-            if concurrent > self.cores_per_node:
-                service_s *= concurrent / self.cores_per_node
         end = start + service_s
         ok = True
         if self.fault_hook is not None:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.platform import (
+    CpuModel,
     FaaSCluster,
     FixedKeepAlive,
+    ShortestFirstCpu,
     WorkloadProfile,
     memory_utilization,
     per_workload_cold_rates,
@@ -39,14 +41,12 @@ class TestServiceVariability:
     def test_validation(self):
         with pytest.raises(ValueError):
             FaaSCluster(profiles(), service_time_cv=-0.1)
-        with pytest.raises(ValueError):
-            FaaSCluster(profiles(), cores_per_node=0)
 
 
 class TestCpuContention:
     def test_oversubscription_slows_service(self):
         c = FaaSCluster(profiles(), n_nodes=1, node_memory_mb=8000.0,
-                        cores_per_node=1)
+                        cpu=CpuModel(cores=1, policy=ShortestFirstCpu()))
         c.invoke(0.0, "slow")
         c.invoke(0.01, "slow")  # second concurrent invocation: 2x slowdown
         records = c.drain()
@@ -55,7 +55,7 @@ class TestCpuContention:
 
     def test_within_capacity_no_slowdown(self):
         c = FaaSCluster(profiles(), n_nodes=1, node_memory_mb=8000.0,
-                        cores_per_node=8)
+                        cpu=CpuModel(cores=8, policy=ShortestFirstCpu()))
         c.invoke(0.0, "slow")
         c.invoke(0.01, "slow")
         for r in c.drain():

@@ -203,7 +203,7 @@ def test_equivalence_queue_pressure_and_drops(seed):
             node_memory_mb=640.0,
             keepalive=NoKeepAlive(),
             queue_timeout_s=1.0,
-            cores_per_node=2,
+            cpu=CpuModel(cores=2, policy=ShortestFirstCpu()),
         ),
     )
     assert ref["dropped"], "config must actually exercise drops"
@@ -907,15 +907,18 @@ def test_cpu_zero_core_headroom(pol, mode):
 
 @pytest.mark.parametrize("mode", CPU_MODES)
 def test_cpu_service_jitter_stream_parity(mode):
-    """Service-time jitter draws one RNG stream; under the CPU model the
-    bulk path must consume it in exactly the scalar order."""
+    """Service-time jitter draws one RNG stream; under the CPU model
+    every submission path must consume it in exactly the scalar order.
+    Without the CPU model this slab (zero TTL, a batch scheduler, roomy
+    nodes) would take the bulk path; with it the slab stays scalar."""
     ts, wids = make_load(5, n=150, horizon_s=6.0)
-    assert_equivalent(
-        ts, wids,
-        make_cpu_kwargs("fifo", "none", "least-loaded",
-                        service_time_cv=0.6, seed=23),
-        mode=mode,
-    )
+    make_kwargs = make_cpu_kwargs("fifo", "none", "random",
+                                  node_memory_mb=8192.0,
+                                  service_time_cv=0.6, seed=23)
+    assert_equivalent(ts, wids, make_kwargs, mode=mode)
+    probe = FaaSCluster(make_profiles(), **make_kwargs())
+    probe.invoke_many(ts, wids)
+    assert probe._tail is None and probe._heap
 
 
 @pytest.mark.parametrize("mode", ["scalar", "bulk", "chunked-2"])
@@ -1008,19 +1011,6 @@ def test_cpu_weight_returns_to_zero_after_drain(cls):
     for node in cluster.nodes:
         assert node.cpu_weight == 0.0
         assert node.busy_count == 0
-
-
-def test_cpu_and_cores_per_node_are_mutually_exclusive():
-    for cls in (ObjectFaaSCluster, FaaSCluster):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            cls(
-                make_profiles(),
-                n_nodes=1,
-                node_memory_mb=1024.0,
-                keepalive=NoKeepAlive(),
-                cores_per_node=2,
-                cpu=CpuModel(cores=2, policy=FifoCpu()),
-            )
 
 
 def test_cpu_contended_trace_event_matches_engines():

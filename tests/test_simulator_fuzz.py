@@ -98,13 +98,13 @@ REGRESSION_CONFIGS = [
     _cfg(seed=13, n_requests=200, keepalive="fixed", keepalive_ttl=0.0,
          service_time_cv=0.4, node_memory_mb=4096.0,
          batch="chunked", chunk_rows=64),
-    # ISSUE 10 CPU axes: contended zero-TTL slab takes the bulk
-    # teardown route, whose per-node run-queue replay must reproduce
-    # the scalar dilation cascade (including (end, seq) tie-breaks)
+    # CPU axes: every CPU-model slab is bulk-ineligible, so these
+    # pinned tuples check that invoke_many / invoke_chunked fall back
+    # to the scalar loop and reproduce its dilation cascade
+    # (contended zero-TTL slab, including (end, seq) tie-breaks)
     _cfg(seed=14, n_requests=300, horizon_s=4.0, keepalive="none",
          node_memory_mb=4096.0, batch="bulk", cores=1, quantum=0.02),
-    # CPU model + positive TTL: bulk ineligible by design, so
-    # invoke_many must fall back to the scalar path and still match
+    # CPU model + positive TTL through invoke_many
     _cfg(seed=15, n_requests=250, horizon_s=4.0, keepalive="fixed",
          keepalive_ttl=0.5, node_memory_mb=4096.0, batch="bulk",
          cores=2, quantum=0.005),
@@ -113,8 +113,8 @@ REGRESSION_CONFIGS = [
     _cfg(seed=16, n_requests=300, horizon_s=4.0, n_workloads=6,
          keepalive="hybrid", node_memory_mb=4096.0, batch="mixed",
          cores=2, cpu_policy="fair"),
-    # shortest-task-first under tiny chunks: every slab edge carries a
-    # contended tail whose final weight restores at drain
+    # shortest-task-first under tiny chunks: the scalar fallback runs
+    # slab by slab and the running weight still folds back at drain
     _cfg(seed=17, n_requests=300, horizon_s=3.0, keepalive="none",
          node_memory_mb=8192.0, batch="chunked", chunk_rows=1,
          cores=1, cpu_policy="stf", quantum=0.1),
