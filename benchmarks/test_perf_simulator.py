@@ -3,13 +3,14 @@
 Pins the tentpole's headline numbers on a synthetic 1M-invocation day:
 
 - batched vectorised simulation must be >= 20x the per-record throughput
-  of the reference object engine on the same workload;
+  of the shared scalar event loop (per-request ``invoke`` on
+  ``ObjectFaaSCluster``) on the same workload;
 - the widened envelope (fixed-TTL keep-alive plus lognormal service
   jitter) must hold >= 15x on the same day -- warm reuses, expiries,
   and per-request jitter draws all replayed in arrays;
 - peak allocation of the vectorised run must stay under a fixed ceiling
-  (columns plus transient event calendar -- far below the object
-  engine's per-record object graph);
+  (columns plus transient event calendar -- far below a per-record
+  object graph);
 - chunked submission must stream a 10x-larger synthetic day through the
   engine under a pinned ceiling dominated by the output columns, not by
   the transient event calendar;
@@ -44,7 +45,7 @@ from repro.platform import (
 N_INVOCATIONS = 1_000_000
 N_WORKLOADS = 200
 DAY_S = 86_400.0
-OBJECT_SLICE = 50_000  # the object engine gets a slice, not the day
+OBJECT_SLICE = 50_000  # the scalar loop gets a slice, not the day
 MIN_SPEEDUP = 20.0
 MIN_KEEPALIVE_SPEEDUP = 15.0
 PEAK_CEILING_MIB = 450.0
@@ -179,7 +180,7 @@ def test_perf_simulator_throughput_floor():
 
 def test_perf_simulator_keepalive_jitter_throughput_floor():
     """ISSUE 8 headline: the keep-alive + jitter day must stay >= 15x
-    the object engine on the identical configuration -- the warm-reuse
+    the shared scalar loop on the identical configuration -- the warm-reuse
     replay and the bulk jitter draw cannot cost the bulk path its
     advantage."""
     ts, wids = _day_load()
@@ -265,7 +266,7 @@ def test_perf_simulator_peak_memory_ceiling():
 
 
 def test_perf_simulator_measures_identical_semantics():
-    # the slice both engines can afford must agree byte for byte --
+    # the slice both paths can afford must agree byte for byte --
     # otherwise the throughput ratio above compares different work
     ts, wids = _day_load()
     sl = slice(0, 20_000)

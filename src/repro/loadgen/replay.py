@@ -30,7 +30,6 @@ from typing import Protocol
 import numpy as np
 
 from repro.loadgen.requests import RequestTrace
-from repro.platform.simulator_vec import iter_trace_slabs
 from repro.loadgen.resilience import (
     OUTCOME_CODES,
     OUTCOMES,
@@ -180,7 +179,6 @@ def replay(
     checkpoint_every: int = 1000,
     resume: bool = False,
     drift=None,
-    chunk_rows: int | None = None,
 ) -> ReplayResult:
     """Feed every request of ``trace`` to ``backend`` in timestamp order.
 
@@ -215,15 +213,6 @@ def replay(
     resume:
         Continue from ``checkpoint_path`` if it exists (no-op when it
         does not).
-    chunk_rows:
-        When set (infinite speed only), the trace is sliced into slabs
-        of at most this many requests and submitted via the backend's
-        ``invoke_chunked`` (falling back to per-slab ``invoke_many``),
-        bounding the working set a batched backend touches at once --
-        the array simulator carries its bulk state across slab
-        boundaries, so results are identical to one-shot submission.
-        Ignored on the paced and resilient paths, which are per-request
-        anyway.
     drift:
         Optional :class:`~repro.telemetry.drift.DriftMonitor` fed the
         replayed requests' expected durations in arrival order, so
@@ -281,21 +270,7 @@ def replay(
         # forwards attribute access (e.g. FaultyBackend.__getattr__) must
         # not let the batch bypass its per-request invoke() logic.
         batch_invoke = getattr(type(backend), "invoke_many", None)
-        chunked_invoke = getattr(type(backend), "invoke_chunked", None)
-        if chunk_rows is not None and chunked_invoke is not None:
-            chunked_invoke(
-                backend,
-                iter_trace_slabs(
-                    trace.timestamps_s, workload_ids,
-                    chunk_rows=chunk_rows,
-                ),
-            )
-        elif chunk_rows is not None and batch_invoke is not None:
-            for slab_ts, slab_wids in iter_trace_slabs(
-                trace.timestamps_s, workload_ids, chunk_rows=chunk_rows
-            ):
-                batch_invoke(backend, slab_ts, slab_wids)
-        elif batch_invoke is not None:
+        if batch_invoke is not None:
             batch_invoke(backend, trace.timestamps_s, workload_ids)
         else:
             invoke = backend.invoke

@@ -1,10 +1,15 @@
-"""Differential fuzzing of the two simulator engines.
+"""Differential fuzzing of the simulator's bulk path and record sinks.
 
 The equivalence suite pins a hand-picked configuration matrix; this
 module closes the gap between that matrix and the full configuration
 space.  It draws random ``(seed, arrival pattern, policy, fault
-profile)`` tuples, runs each through both the reference object engine
-and the array engine, and compares every observable byte for byte.  On
+profile)`` tuples and runs each twice: per-request submission into
+:class:`~repro.platform.simulator.ObjectFaaSCluster` (object records),
+and the tuple's submission mode -- bulk, chunked, mixed or per-request
+-- into :class:`~repro.platform.simulator_vec.FaaSCluster` (columnar
+records).  Both classes share one scalar event loop, so what the fuzz
+checks is the bulk path against that loop and the columnar store
+against object records, every observable byte for byte.  On
 a mismatch it *shrinks* the offending tuple -- greedily simplifying the
 configuration while the mismatch persists -- and prints a one-line
 reproducer that can be pasted into a regression test (see

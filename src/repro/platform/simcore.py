@@ -1,20 +1,69 @@
-"""Shared primitives of the cluster simulators.
+"""Shared core of the cluster simulators: data model and scalar event loop.
 
-Both simulator engines -- the array-native
+Both cluster classes -- the array-native
 :class:`~repro.platform.simulator_vec.FaaSCluster` production engine and
-the reference :class:`~repro.platform.simulator.ObjectFaaSCluster` it is
-differentially tested against -- share the same workload description,
-node bookkeeping, and cold-start cost model.  They live here so the two
-engines cannot drift apart on the data model and so neither module has
-to import the other.
+:class:`~repro.platform.simulator.ObjectFaaSCluster` -- share the
+workload description, node bookkeeping, cold-start cost model and one
+scalar event loop (:class:`_ScalarCluster`): the sandbox lifecycle of
+cold start, reuse, LRU eviction, keep-alive expiry, crash and FIFO
+backlog.  The two classes differ only in where an invocation record goes
+(columnar arrays vs ``InvocationRecord`` objects) and in
+``FaaSCluster``'s vectorised bulk path, which must stay byte-identical
+to this loop.  Everything lives here so neither module has to import
+the other.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any, Protocol
+
+import numpy as np
+
+from repro.platform.keepalive import FixedKeepAlive
+from repro.platform.schedulers import LeastLoadedScheduler
+from repro.telemetry import registry as _telemetry
+
+if TYPE_CHECKING:
+    from repro.platform.cpu import CpuModel
 
 __all__ = ["Node", "WorkloadProfile", "default_cold_start_s"]
+
+#: The horizon a drain fires the remaining event calendar up to.
+_INF = float("inf")
+
+
+# ----------------------------------------------------------------------
+# policy protocols (what the event loop requires of its pluggable parts)
+# ----------------------------------------------------------------------
+class Scheduler(Protocol):
+    """Cluster scheduler: node index for one arriving request."""
+
+    def pick(self, nodes: Sequence[Node], workload_id: str) -> int: ...
+
+
+class KeepAlivePolicy(Protocol):
+    def ttl_s(self, workload_id: str) -> float: ...
+
+    def observe_idle_gap(self, workload_id: str, gap_s: float) -> None: ...
+
+
+class Autoscaler(Protocol):
+    def decide(self, now_s: float, nodes: Sequence[Node]) -> int: ...
+
+
+class Tracer(Protocol):
+    def emit(
+        self, time_s: float, kind: str, node: int, workload_id: str
+    ) -> None: ...
+
+
+class FaultHook(Protocol):
+    def crash_fraction(
+        self, now_s: float, node_id: int, workload_id: str
+    ) -> float | None: ...
 
 
 @dataclass(frozen=True)
@@ -40,14 +89,13 @@ def default_cold_start_s(profile: WorkloadProfile) -> float:
 
 @dataclass
 class _Sandbox:
-    """Reference-engine sandbox: one warm (or busy) execution environment.
+    """One warm (or busy) execution environment of the scalar loop.
 
     ``expire_generation`` is the guard against stale lifecycle events: it
     is bumped on every reuse, eviction, crash, and idle transition, and a
     queued keep-alive expiry only fires when the generation it captured
     still matches -- so an expiry scheduled before a crash (or reuse) of
-    the same sandbox can never double-reclaim its memory.  The array
-    engine keeps the same counter in its ``generation`` column.
+    the same sandbox can never double-reclaim its memory.
     """
 
     sandbox_id: int
@@ -62,17 +110,14 @@ class Node:
     """One worker node: memory-bounded sandbox pool plus a FIFO backlog.
 
     ``idle`` maps workload id to a stack of idle sandboxes, most recently
-    idled last.  The reference engine stores :class:`_Sandbox` objects in
-    the stacks; the array engine stores integer rows into its sandbox
-    arrays.  External policies only rely on the mapping's keys and the
-    per-node counters, which are identical either way.
+    idled last, as :class:`_Sandbox` objects.  External policies only
+    rely on the mapping's keys and the per-node counters.
 
     ``cpu_weight`` is the running total of the scheduling weights of the
     node's busy sandboxes under a CPU-contention model
     (:class:`~repro.platform.cpu.CpuModel`): incremented at admission,
-    decremented at completion/crash, folded in the engines' shared event
-    order so the IEEE accumulation is bit-identical across engines.  It
-    stays 0.0 when no CPU model is configured.
+    decremented at completion/crash, in event order.  It stays 0.0 when
+    no CPU model is configured.
     """
 
     node_id: int
@@ -120,3 +165,409 @@ class Node:
     @property
     def idle_count(self) -> int:
         return sum(len(s) for s in self.idle.values())
+
+
+# ----------------------------------------------------------------------
+# the scalar event loop
+# ----------------------------------------------------------------------
+class _ScalarCluster:
+    """The simulated cluster's scalar event loop, shared by both
+    cluster classes.
+
+    Every request is placed by the scheduler, started on a reused or
+    freshly created sandbox (evicting LRU idle sandboxes to make room)
+    or queued FIFO on its node; completions, crashes and keep-alive
+    expiries are heap events ordered by ``(time, sequence)``.
+    Subclasses supply only the record sink, :attr:`_record`.
+    """
+
+    #: The record sink, called once per started invocation with
+    #: ``(workload_id, node_id, arrival_s, start_s, end_s, cold, ok,
+    #: preemptions)``.
+    _record: Callable[[str, int, float, float, float, bool, bool, int], None]
+
+    def __init__(
+        self,
+        profiles: dict[str, WorkloadProfile],
+        *,
+        n_nodes: int = 4,
+        node_memory_mb: float = 8192.0,
+        scheduler: Scheduler | None = None,
+        keepalive: KeepAlivePolicy | None = None,
+        cold_start_model: Callable[
+            [WorkloadProfile], float
+        ] = default_cold_start_s,
+        service_time_cv: float = 0.0,
+        cpu: CpuModel | None = None,
+        track_memory: bool = False,
+        queue_timeout_s: float | None = None,
+        autoscaler: Autoscaler | None = None,
+        tracer: Tracer | None = None,
+        fault_hook: FaultHook | None = None,
+        seed: int = 0,
+    ) -> None:
+        """``n_nodes`` nodes of ``node_memory_mb`` each, running
+        ``profiles``; the scheduler defaults to least-loaded and the
+        keep-alive to a fixed 600 s TTL.  The optional realism knobs:
+
+        service_time_cv:
+            Coefficient of variation of per-invocation service time
+            (mean-preserving lognormal noise on the profile runtime);
+            0 keeps service deterministic.
+        cpu:
+            Optional :class:`~repro.platform.cpu.CpuModel`: per-node
+            core counts, a timeslice quantum, and a pluggable scheduling
+            policy.  Under oversubscription the policy dilates service
+            time and counts preemptions (recorded per invocation); the
+            dilation is fixed at admission (no re-scheduling
+            mid-flight).  ``CpuModel(cores=k,
+            policy=ShortestFirstCpu())`` is the first-order
+            oversubscription slowdown by ``concurrent / k``.
+        track_memory:
+            Record ``(time, node, used_memory_mb)`` samples at every
+            sandbox admission/reclaim, exposed as ``memory_samples``.
+        queue_timeout_s:
+            When set, requests that wait in a node backlog longer than
+            this are dropped instead of served (recorded in ``dropped``);
+            when unset, backlogs are unbounded and a drain that cannot
+            place everything raises.
+        autoscaler:
+            Optional :class:`~repro.platform.autoscaler.ReactiveAutoscaler`
+            (or anything with its ``decide(now_s, nodes) -> int``
+            signature) consulted on request arrivals; ``n_nodes`` becomes
+            the initial topology.
+        tracer:
+            Optional :class:`~repro.platform.tracing.PlatformTracer`
+            receiving one event per sandbox lifecycle transition.
+        fault_hook:
+            Optional sandbox-crash model (anything with
+            ``crash_fraction(now_s, node_id, workload_id) -> float |
+            None``, e.g. :class:`~repro.platform.faults.CrashHook`).
+            A non-None fraction ends the invocation after that share of
+            its service time with ``ok=False``; the sandbox is destroyed
+            (memory freed, no keep-alive reuse).
+        """
+        if n_nodes <= 0:
+            raise ValueError("n_nodes must be positive")
+        if node_memory_mb <= 0:
+            raise ValueError("node_memory_mb must be positive")
+        if not profiles:
+            raise ValueError("cluster needs at least one workload profile")
+        if service_time_cv < 0:
+            raise ValueError("service_time_cv must be non-negative")
+        if queue_timeout_s is not None and queue_timeout_s <= 0:
+            raise ValueError("queue_timeout_s must be positive")
+        biggest = max(p.memory_mb for p in profiles.values())
+        if biggest > node_memory_mb:
+            raise ValueError(
+                f"largest workload ({biggest} MiB) exceeds node memory "
+                f"({node_memory_mb} MiB); no placement can ever succeed"
+            )
+        self.profiles = dict(profiles)
+        self.nodes: list[Node] = [
+            Node(i, node_memory_mb) for i in range(n_nodes)
+        ]
+        self.scheduler: Scheduler = scheduler or LeastLoadedScheduler()
+        self.keepalive: KeepAlivePolicy = keepalive or FixedKeepAlive(600.0)
+        self.cold_start_model = cold_start_model
+        self.queue_timeout_s = queue_timeout_s
+        self.autoscaler = autoscaler
+        self.tracer = tracer
+        self.fault_hook = fault_hook
+        #: (arrival_s, workload_id) of requests dropped on queue timeout.
+        self.dropped: list[tuple[float, str]] = []
+        self._node_memory_mb = node_memory_mb
+        self._next_node_id = n_nodes
+        self.service_time_cv = service_time_cv
+        self.cpu = cpu
+        self.track_memory = track_memory
+        self.memory_samples: list[tuple[float, int, float]] = []
+        self._rng = np.random.default_rng(seed)
+        self._lognorm: tuple[float, float] | None
+        if service_time_cv > 0:
+            sigma = float(np.sqrt(np.log1p(service_time_cv**2)))
+            self._lognorm = (sigma, -0.5 * sigma * sigma)
+        else:
+            self._lognorm = None
+        self._clock = 0.0
+        self._heap: list[tuple[float, int, str, tuple[Any, ...]]] = []
+        # plain integers: the bulk path advances both by whole slabs
+        self._seq_n = 0
+        self._sandbox_n = 0
+
+    # ------------------------------------------------------------------
+    # Backend protocol
+    # ------------------------------------------------------------------
+    def invoke(self, timestamp_s: float, workload_id: str) -> None:
+        if workload_id not in self.profiles:
+            raise KeyError(f"no profile for workload {workload_id!r}")
+        if timestamp_s < self._clock:
+            raise ValueError(
+                f"request at t={timestamp_s} is in the simulator's past "
+                f"(clock={self._clock}); submit in timestamp order"
+            )
+        heap = self._heap
+        if heap and heap[0][0] <= timestamp_s:
+            self._advance(timestamp_s)
+        if timestamp_s > self._clock:
+            self._clock = timestamp_s
+        if self.autoscaler is not None:
+            self._apply_autoscaling(timestamp_s)
+        node = self.nodes[self.scheduler.pick(self.nodes, workload_id)]
+        if not self._try_start(node, timestamp_s, workload_id):
+            self._trace("request_queued", node.node_id, workload_id)
+            node.pending.append((timestamp_s, workload_id))
+
+    @property
+    def clock_s(self) -> float:
+        return self._clock
+
+    # ------------------------------------------------------------------
+    # drain
+    # ------------------------------------------------------------------
+    def _drain_events(self) -> None:
+        """Fire the whole event calendar, then drop (or refuse) what is
+        still queued."""
+        self._advance(_INF)
+        stuck = sum(len(n.pending) for n in self.nodes)
+        if stuck:
+            if self.queue_timeout_s is not None:
+                # every still-queued request has outlived its deadline by
+                # now (all service events have fired)
+                for node in self.nodes:
+                    for arrival_s, wid in node.pending:
+                        self.dropped.append((arrival_s, wid))
+                        self._trace("request_dropped", node.node_id, wid)
+                    node.pending.clear()
+            else:
+                raise RuntimeError(
+                    f"{stuck} requests remain queued after drain; the "
+                    "cluster deadlocked on memory (raise node_memory_mb "
+                    "or n_nodes, or set queue_timeout_s)"
+                )
+
+    def _drain_telemetry(self, n_records: int) -> None:
+        reg = _telemetry.active()
+        if reg is not None:
+            # gauges are idempotent, so repeated drains stay correct
+            reg.gauge("platform_nodes",
+                      "cluster size at drain time").set(len(self.nodes))
+            reg.gauge("platform_completed_invocations",
+                      "invocation records held by the cluster"
+                      ).set(n_records)
+            reg.gauge("platform_dropped_requests",
+                      "requests dropped on queue timeout so far"
+                      ).set(len(self.dropped))
+
+    # ------------------------------------------------------------------
+    # elasticity
+    # ------------------------------------------------------------------
+    def _apply_autoscaling(self, now_s: float) -> None:
+        scaler = self.autoscaler
+        if scaler is None:
+            return
+        desired = scaler.decide(now_s, self.nodes)
+        while desired > len(self.nodes):
+            self.nodes.append(
+                Node(self._next_node_id, self._node_memory_mb)
+            )
+            self._next_node_id += 1
+        while desired < len(self.nodes) and len(self.nodes) > 1:
+            victim = min(self.nodes, key=lambda n: n.busy_count)
+            if victim.busy_count > 0:
+                break  # nothing retirable right now; try next evaluation
+            # reclaim idle sandboxes and hand any backlog to a survivor
+            for stack in list(victim.idle.values()):
+                for sandbox in list(stack):
+                    sandbox.expire_generation += 1
+                    victim.remove_idle(sandbox)
+                    self._trace("sandbox_evicted", victim.node_id,
+                                sandbox.workload_id)
+            self.nodes.remove(victim)
+            if victim.pending:
+                self.nodes[0].pending.extend(victim.pending)
+
+    # ------------------------------------------------------------------
+    # event machinery
+    # ------------------------------------------------------------------
+    def _trace(self, kind: str, node_id: int, workload_id: str) -> None:
+        if self.tracer is not None:
+            self.tracer.emit(self._clock, kind, node_id, workload_id)
+
+    def _push(self, when: float, kind: str, payload: tuple[Any, ...]) -> None:
+        heapq.heappush(self._heap, (when, self._seq_n, kind, payload))
+        self._seq_n += 1
+
+    def _advance(self, until: float) -> None:
+        """Fire every queued event due at or before ``until``, in heap
+        order; the clock ends on the latest event time fired.
+
+        Callers moving on to a later time set the clock themselves.  A
+        drain passes ``until=inf`` and fires the whole calendar in one
+        call, which leaves the clock where one call per distinct event
+        time would have.
+        """
+        heap = self._heap
+        heappop = heapq.heappop
+        latest = -_INF
+        while heap and heap[0][0] <= until:
+            when, _, kind, payload = heappop(heap)
+            self._clock = when
+            if when > latest:
+                latest = when
+            if kind == "end":
+                self._on_completion(when, *payload)
+            elif kind == "crash":
+                self._on_crash(when, *payload)
+            else:  # "expire"
+                self._on_expiry(when, *payload)
+        if latest > self._clock:
+            self._clock = latest
+
+    def _try_start(self, node: Node, arrival_s: float,
+                   workload_id: str) -> bool:
+        """Start an invocation now if a sandbox can be had; else False."""
+        now = self._clock
+        profile = self.profiles[workload_id]
+        sandbox = node.pop_idle(workload_id)
+        if sandbox is not None:
+            self.keepalive.observe_idle_gap(
+                workload_id, now - sandbox.idle_since
+            )
+            sandbox.expire_generation += 1  # cancels the queued expiry
+            if self.tracer is not None:
+                self._trace("sandbox_reused", node.node_id, workload_id)
+            start = now
+            cold = False
+        else:
+            # Make room, evicting the least recently used idle sandboxes.
+            while (
+                node.used_memory_mb + profile.memory_mb
+                > node.memory_capacity_mb
+            ):
+                victim = node.lru_idle()
+                if victim is None:
+                    return False
+                victim.expire_generation += 1
+                node.remove_idle(victim)
+                if self.tracer is not None:
+                    self._trace("sandbox_evicted", node.node_id,
+                                victim.workload_id)
+            node.used_memory_mb += profile.memory_mb
+            if self.track_memory:
+                self.memory_samples.append(
+                    (now, node.node_id, node.used_memory_mb)
+                )
+            sandbox = _Sandbox(
+                sandbox_id=self._sandbox_n,
+                workload_id=workload_id,
+                memory_mb=profile.memory_mb,
+            )
+            self._sandbox_n += 1
+            if self.tracer is not None:
+                self._trace("sandbox_created", node.node_id, workload_id)
+            start = now + self.cold_start_model(profile)
+            cold = True
+
+        service_s = profile.runtime_ms / 1e3
+        if self._lognorm is not None:
+            sigma, mu = self._lognorm
+            service_s *= float(self._rng.lognormal(mu, sigma))
+        preemptions = 0
+        if self.cpu is not None:
+            # run-queue-aware dilation, fixed at admission time
+            w = self.cpu.policy.weight(workload_id)
+            dilated, preemptions = self.cpu.policy.contend(
+                service_s,
+                cores=self.cpu.cores,
+                quantum_s=self.cpu.quantum_s,
+                concurrent=node.busy_count + 1,
+                weight=w,
+                total_weight=node.cpu_weight + w,
+            )
+            if dilated > service_s and self.tracer is not None:
+                self._trace("invocation_contended", node.node_id,
+                            workload_id)
+            service_s = dilated
+            node.cpu_weight += w
+        end = start + service_s
+        ok = True
+        if self.fault_hook is not None:
+            frac = self.fault_hook.crash_fraction(
+                now, node.node_id, workload_id
+            )
+            if frac is not None:
+                end = start + service_s * min(max(frac, 0.0), 1.0)
+                ok = False
+        node.busy_count += 1
+        self._record(workload_id, node.node_id, arrival_s, start, end,
+                     cold, ok, preemptions)
+        # Events carry the Node object itself: under autoscaling the
+        # nodes list mutates, so positional ids are not stable handles.
+        self._push(end, "end" if ok else "crash", (node, sandbox))
+        return True
+
+    def _on_completion(self, now: float, node: Node,
+                       sandbox: _Sandbox) -> None:
+        node.busy_count -= 1
+        if self.cpu is not None:
+            node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
+        sandbox.idle_since = now
+        sandbox.expire_generation += 1
+        node.push_idle(sandbox)
+        ttl = self.keepalive.ttl_s(sandbox.workload_id)
+        if ttl <= 0:
+            node.remove_idle(sandbox)
+        else:
+            self._push(now + ttl, "expire",
+                       (node, sandbox, sandbox.expire_generation))
+        if node.pending:
+            self._serve_pending(node)
+
+    def _on_crash(self, now: float, node: Node,
+                  sandbox: _Sandbox) -> None:
+        """The sandbox died mid-invocation: destroy it outright."""
+        del now
+        node.busy_count -= 1
+        if self.cpu is not None:
+            node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
+        sandbox.expire_generation += 1
+        node.used_memory_mb -= sandbox.memory_mb
+        if self.tracer is not None:
+            self._trace("sandbox_crashed", node.node_id,
+                        sandbox.workload_id)
+        if self.track_memory:
+            self.memory_samples.append(
+                (self._clock, node.node_id, node.used_memory_mb)
+            )
+        self._serve_pending(node)
+
+    def _on_expiry(self, now: float, node: Node, sandbox: _Sandbox,
+                   generation: int) -> None:
+        del now
+        if sandbox.expire_generation != generation:
+            return  # sandbox was reused or evicted in the meantime
+        node.remove_idle(sandbox)
+        if self.tracer is not None:
+            self._trace("sandbox_expired", node.node_id,
+                        sandbox.workload_id)
+        if self.track_memory:
+            self.memory_samples.append(
+                (self._clock, node.node_id, node.used_memory_mb)
+            )
+        if node.pending:
+            self._serve_pending(node)
+
+    def _serve_pending(self, node: Node) -> None:
+        while node.pending:
+            arrival_s, workload_id = node.pending[0]
+            if (
+                self.queue_timeout_s is not None
+                and self._clock - arrival_s > self.queue_timeout_s
+            ):
+                self.dropped.append(node.pending.pop(0))
+                self._trace("request_dropped", node.node_id, workload_id)
+                continue
+            if not self._try_start(node, arrival_s, workload_id):
+                return
+            node.pending.pop(0)

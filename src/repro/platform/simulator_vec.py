@@ -1,10 +1,11 @@
 """Array-native discrete-event FaaS cluster simulator.
 
 This is the production engine behind :class:`FaaSCluster` (the name
-``repro.platform.simulator`` re-exports).  It keeps the reference object
-engine's *semantics* -- byte-identical records, traces, metrics, and
-policy interactions, pinned by ``tests/test_simulator_equivalence.py``
--- while moving every cost that scales with invocation count onto
+``repro.platform.simulator`` re-exports).  It runs the one scalar event
+loop both cluster classes share
+(:class:`~repro.platform.simcore._ScalarCluster`) and differs from
+:class:`~repro.platform.simulator.ObjectFaaSCluster` in two places
+only, both moving costs that scale with invocation count onto
 struct-of-arrays storage:
 
 - **Records** live in growable NumPy columns (workload code, node,
@@ -27,18 +28,18 @@ struct-of-arrays storage:
   becomes a :class:`_BulkTail` carry that survives chunk boundaries
   (:meth:`invoke_chunked`), is finalised vectorised at drain, or is
   materialised into ordinary heap events if scalar traffic follows.
-- **Everything else** -- keep-alive LRU stacks, stateful schedulers,
-  the CPU-contention model, autoscaling, fault hooks, tracing -- runs
-  the exact control flow of the reference engine, on the same
-  :class:`~repro.platform.simcore.Node` objects, so the
-  cluster-size-bounded control plane stays a faithful oracle target
-  and external policies observe identical state.
 
-Determinism contract: for any input and configuration, this engine and
-:class:`repro.platform.simulator.ObjectFaaSCluster` produce bit-equal
-record fields, clocks, drops, memory samples, and trace event streams.
+Everything outside the bulk envelope -- keep-alive LRU stacks, stateful
+schedulers, the CPU-contention model, autoscaling, fault hooks, tracing
+-- runs the shared scalar loop.
+
+Determinism contract: bulk submission (:meth:`invoke_many`,
+:meth:`invoke_chunked`) and per-request :meth:`invoke` produce
+bit-equal record fields, clocks, drops, memory samples, and trace event
+streams, and the columnar records equal the ``InvocationRecord`` objects
+``ObjectFaaSCluster`` appends (``tests/test_simulator_equivalence.py``).
 The bulk path preserves this down to IEEE float accumulation order
-(``used_memory_mb`` is folded with ``cumsum`` in the reference engine's
+(``used_memory_mb`` is folded with ``cumsum`` in the scalar loop's
 exact event order) and RNG stream position (batched scheduler draws are
 stream-equal to sequential ones; a speculative batch that must fall back
 rewinds the scheduler RNG via its ``snapshot``/``restore`` protocol).
@@ -50,13 +51,12 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, Protocol, cast
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.platform.cpu import CpuModel
 from repro.platform.keepalive import FixedKeepAlive, NoKeepAlive
 from repro.platform.metrics import InvocationRecord
 from repro.platform.schedulers import (
@@ -67,11 +67,12 @@ from repro.platform.schedulers import (
 )
 from repro.platform.simcore import (
     Node,
+    Scheduler,
     WorkloadProfile,
     _Sandbox,
+    _ScalarCluster,
     default_cold_start_s,
 )
-from repro.telemetry import registry as _telemetry
 
 __all__ = [
     "FaaSCluster",
@@ -86,12 +87,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # policy protocols (what the engine requires of its pluggable parts)
 # ----------------------------------------------------------------------
-class Scheduler(Protocol):
-    """Cluster scheduler: node index for one arriving request."""
-
-    def pick(self, nodes: Sequence[Node], workload_id: str) -> int: ...
-
-
 class BatchScheduler(Scheduler, Protocol):
     """Scheduler supporting speculative batched picks (bulk path).
 
@@ -115,28 +110,6 @@ class BatchScheduler(Scheduler, Protocol):
     def restore(self, state: Any) -> None: ...
 
 
-class KeepAlivePolicy(Protocol):
-    def ttl_s(self, workload_id: str) -> float: ...
-
-    def observe_idle_gap(self, workload_id: str, gap_s: float) -> None: ...
-
-
-class Autoscaler(Protocol):
-    def decide(self, now_s: float, nodes: Sequence[Node]) -> int: ...
-
-
-class Tracer(Protocol):
-    def emit(
-        self, time_s: float, kind: str, node: int, workload_id: str
-    ) -> None: ...
-
-
-class FaultHook(Protocol):
-    def crash_fraction(
-        self, now_s: float, node_id: int, workload_id: str
-    ) -> float | None: ...
-
-
 #: Schedulers whose single-node pick is a pure ``return 0`` -- no RNG
 #: consumed, no mutable state -- so the bulk path may bypass them.
 _PURE_SINGLE_NODE_SCHEDULERS = (
@@ -145,10 +118,6 @@ _PURE_SINGLE_NODE_SCHEDULERS = (
     LocalityAwareScheduler,
     HashAffinityScheduler,
 )
-
-#: The horizon a drain fires the remaining event calendar up to.
-_INF = float("inf")
-
 
 # ----------------------------------------------------------------------
 # columnar record storage
@@ -183,7 +152,7 @@ class RecordColumns:
     """Struct-of-arrays view of a run's invocation records.
 
     The columnar equivalent of ``list[InvocationRecord]``: row ``i`` of
-    every array is record ``i``, in the same order the reference engine
+    every array is record ``i``, in the same order the scalar loop
     appends records.  ``workload_codes`` indexes into ``vocabulary``
     (first-appearance order).  Arrays are defensive copies -- safe to
     keep after the cluster keeps running.
@@ -272,15 +241,19 @@ class _RecordStore:
 
     def append(
         self,
-        code: int,
+        workload_id: str,
         node_id: int,
         arrival_s: float,
         start_s: float,
         end_s: float,
         cold: bool,
         ok: bool,
-        preempt: int = 0,
+        preempt: int,
     ) -> None:
+        """One row from the scalar loop (``FaaSCluster``'s record sink)."""
+        code = self.vocab.get(workload_id)
+        if code is None:
+            code = self.code_for(workload_id)
         i = self.n
         if i == self.code.size:
             self._reserve(i + 1)
@@ -404,20 +377,20 @@ class _BulkTail:
     exits: drain applies the precomputed ``final_used``/``drain_clock``
     directly, while scalar traffic materialises it into ordinary heap
     events and node state so interleaving stays byte-identical to the
-    reference engine.
+    scalar loop.
 
     Still-running invocations: row ``j`` holds the completion time, the
-    end-event heap sequence number the reference engine would have
+    end-event heap sequence number the scalar loop would have
     assigned (exact tie-breaking on materialisation), node, memory, and
     workload code.  Warm idle sandboxes (``ttl > 0`` only; empty
     columns otherwise): rows sorted by (pool, idled-at, append
     sequence) -- pool meaning a ``(node, workload)`` idle stack -- with
     each row's queued expiry time/sequence and its pool's stack
-    *creation key*, i.e. when the reference engine's ``node.idle`` dict
+    *creation key*, i.e. when the scalar loop's ``node.idle`` dict
     key was (re)inserted, which ``lru_idle`` tie-breaks on.
     ``final_used`` is the per-node ``used_memory_mb`` after every
-    outstanding completion and expiry fires, folded in the reference
-    engine's exact IEEE accumulation order.
+    outstanding completion and expiry fires, folded in the scalar
+    loop's exact IEEE accumulation order.
     """
 
     ttl: float
@@ -445,111 +418,36 @@ class _BulkTail:
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
-class FaaSCluster:
+class FaaSCluster(_ScalarCluster):
     """Array-native simulated cluster satisfying the replayer's Backend
     protocol, plus the batched extensions (:meth:`invoke_many`,
     :meth:`drain_columns`, :meth:`record_columns`).
 
-    Semantics, parameters, and error behaviour are those of the
-    reference :class:`repro.platform.simulator.ObjectFaaSCluster`; see
-    its docstring for the realism knobs.  The differential equivalence
-    suite pins byte-identity between the two.
+    Runs the shared scalar event loop
+    (:class:`~repro.platform.simcore._ScalarCluster`, whose constructor
+    documents the parameters) into columnar record storage, and adds
+    the vectorised bulk path, which the differential equivalence suite
+    pins byte-identical to that loop.
     """
 
     def __init__(
-        self,
-        profiles: dict[str, WorkloadProfile],
-        *,
-        n_nodes: int = 4,
-        node_memory_mb: float = 8192.0,
-        scheduler: Scheduler | None = None,
-        keepalive: KeepAlivePolicy | None = None,
-        cold_start_model: Callable[
-            [WorkloadProfile], float
-        ] = default_cold_start_s,
-        service_time_cv: float = 0.0,
-        cpu: CpuModel | None = None,
-        track_memory: bool = False,
-        queue_timeout_s: float | None = None,
-        autoscaler: Autoscaler | None = None,
-        tracer: Tracer | None = None,
-        fault_hook: FaultHook | None = None,
-        seed: int = 0,
+        self, profiles: dict[str, WorkloadProfile], **knobs: Any
     ) -> None:
-        if n_nodes <= 0:
-            raise ValueError("n_nodes must be positive")
-        if node_memory_mb <= 0:
-            raise ValueError("node_memory_mb must be positive")
-        if not profiles:
-            raise ValueError("cluster needs at least one workload profile")
-        if service_time_cv < 0:
-            raise ValueError("service_time_cv must be non-negative")
-        if queue_timeout_s is not None and queue_timeout_s <= 0:
-            raise ValueError("queue_timeout_s must be positive")
-        biggest = max(p.memory_mb for p in profiles.values())
-        if biggest > node_memory_mb:
-            raise ValueError(
-                f"largest workload ({biggest} MiB) exceeds node memory "
-                f"({node_memory_mb} MiB); no placement can ever succeed"
-            )
-        self.profiles = dict(profiles)
-        self.nodes: list[Node] = [
-            Node(i, node_memory_mb) for i in range(n_nodes)
-        ]
-        self.scheduler: Scheduler = scheduler or LeastLoadedScheduler()
-        self.keepalive: KeepAlivePolicy = keepalive or FixedKeepAlive(600.0)
-        self.cold_start_model = cold_start_model
-        self.queue_timeout_s = queue_timeout_s
-        self.autoscaler = autoscaler
-        self.tracer = tracer
-        self.fault_hook = fault_hook
-        #: (arrival_s, workload_id) of requests dropped on queue timeout.
-        self.dropped: list[tuple[float, str]] = []
-        self._node_memory_mb = node_memory_mb
-        self._next_node_id = n_nodes
-        self.service_time_cv = service_time_cv
-        self.cpu = cpu
-        self.track_memory = track_memory
-        self.memory_samples: list[tuple[float, int, float]] = []
-        self._rng = np.random.default_rng(seed)
-        self._lognorm: tuple[float, float] | None
-        if service_time_cv > 0:
-            sigma = float(np.sqrt(np.log1p(service_time_cv**2)))
-            self._lognorm = (sigma, -0.5 * sigma * sigma)
-        else:
-            self._lognorm = None
+        super().__init__(profiles, **knobs)
         self._store = _RecordStore()
         self._records_list: list[InvocationRecord] = []
-        self._clock = 0.0
-        self._heap: list[tuple[float, int, str, tuple[Any, ...]]] = []
-        self._seq_n = 0
-        self._sandbox_n = 0
         self._tail: _BulkTail | None = None
+        self._record = self._store.append
 
     # ------------------------------------------------------------------
     # Backend protocol
     # ------------------------------------------------------------------
     def invoke(self, timestamp_s: float, workload_id: str) -> None:
-        if workload_id not in self.profiles:
-            raise KeyError(f"no profile for workload {workload_id!r}")
-        if timestamp_s < self._clock:
-            raise ValueError(
-                f"request at t={timestamp_s} is in the simulator's past "
-                f"(clock={self._clock}); submit in timestamp order"
-            )
+        """Submit one request through the scalar loop, first turning any
+        outstanding bulk carry into ordinary heap events."""
         if self._tail is not None:
             self._materialize_tail()
-        heap = self._heap
-        if heap and heap[0][0] <= timestamp_s:
-            self._advance(timestamp_s)
-        if timestamp_s > self._clock:
-            self._clock = timestamp_s
-        if self.autoscaler is not None:
-            self._apply_autoscaling(timestamp_s)
-        node = self.nodes[self.scheduler.pick(self.nodes, workload_id)]
-        if not self._try_start(node, timestamp_s, workload_id):
-            self._trace("request_queued", node.node_id, workload_id)
-            node.pending.append((timestamp_s, workload_id))
+        _ScalarCluster.invoke(self, timestamp_s, workload_id)
 
     def invoke_many(
         self,
@@ -598,15 +496,13 @@ class FaaSCluster:
             self.invoke_many(ts, wids)
 
     def drain(self) -> list[InvocationRecord]:
-        self._drain_events()
-        self._drain_telemetry()
+        self._finish()
         return self.records
 
     def drain_columns(self) -> RecordColumns:
         """Array-native :meth:`drain`: finish all outstanding work and
         return the records as columns, materialising no record objects."""
-        self._drain_events()
-        self._drain_telemetry()
+        self._finish()
         return self._store.columns()
 
     # ------------------------------------------------------------------
@@ -634,10 +530,6 @@ class FaaSCluster:
     def record_columns(self) -> RecordColumns:
         """Columnar snapshot of the records appended so far."""
         return self._store.columns()
-
-    @property
-    def clock_s(self) -> float:
-        return self._clock
 
     # ------------------------------------------------------------------
     # bulk fast path
@@ -816,7 +708,7 @@ class FaaSCluster:
         completion, no expiry events exist -- so the whole slab is one
         event calendar per node (+mem at arrival, -mem at completion,
         completions carried from earlier chunks included), cumsum-folded
-        in the reference engine's exact order."""
+        in the scalar loop's exact order."""
         n = int(ts.size)
         n_nodes = len(self.nodes)
         last_t = float(ts[-1])
@@ -832,7 +724,7 @@ class FaaSCluster:
         end = start + svc_req
 
         # Sorting by (node, time, completion-before-arrival, heap seq)
-        # reproduces the reference engine's event order exactly: events
+        # reproduces the scalar loop's event order exactly: events
         # with ``when <= t`` pop before the arrival at ``t``, ties break
         # on push sequence.  Carried completions keep their absolute
         # sequence numbers (all below seq0), new events use seq0+i as an
@@ -859,7 +751,7 @@ class FaaSCluster:
         for b, node in enumerate(self.nodes):
             lo, hi = int(bounds[b]), int(bounds[b + 1])
             # cumsum folds the deltas sequentially, so the running
-            # usage is bitwise the reference engine's +=/-= chain
+            # usage is bitwise the scalar loop's +=/-= chain
             block = np.empty(hi - lo + 1, np.float64)
             block[0] = node.used_memory_mb
             block[1:] = s_delta[lo:hi]
@@ -941,7 +833,7 @@ class FaaSCluster:
         checked vectorised afterwards and falls back to scalar on any
         overflow (exactly when the scalar engine would evict or queue).
         Sequence numbers, the memory trajectory, and the carry are then
-        reconstructed in the reference engine's exact event order:
+        reconstructed in the scalar loop's exact event order:
         every arrival pushes an end event and every in-slab completion
         pushes an expiry event, so heap sequence numbers interleave and
         are assigned by a merged sort rather than arithmetic.
@@ -1226,7 +1118,7 @@ class FaaSCluster:
         p_keep = ~p_reused & (p_xa > last_t)
 
         # memory calendar: +mem at each cold arrival, -mem at each
-        # in-slab expiry, in the reference heap order per node
+        # in-slab expiry, in the scalar loop's heap order per node
         a_idx = np.nonzero(cold_arr)[0]
         f_idx = np.nonzero(p_fired)[0]
         ev_time = np.concatenate((ts[a_idx], p_xa[f_idx]))
@@ -1269,7 +1161,7 @@ class FaaSCluster:
 
         # drain residue: remaining idle expiries fire first (all at most
         # last_t + ttl), then each outstanding completion's eventual
-        # expiry, ordered exactly as the reference drain would fire them
+        # expiry, ordered exactly as the scalar drain would fire them
         kA = np.nonzero(p_keep)[0]
         kA = kA[np.lexsort((p_exp[kA], p_xa[kA]))]
         kB = still[np.lexsort((comp_end_seq[still], comp_end[still]))]
@@ -1405,7 +1297,7 @@ class FaaSCluster:
     ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.int64]]:
         """Stack-creation keys for pools that carry idle sandboxes out.
 
-        The reference engine's ``node.idle`` dict orders keys by
+        The scalar loop's ``node.idle`` dict orders keys by
         insertion, and ``lru_idle`` tie-breaks on that order, so the
         carry must remember when each surviving stack last went
         empty-to-non-empty.  Each pool's appends (completions idling),
@@ -1665,7 +1557,7 @@ class FaaSCluster:
         if not tail.idle_from.size:
             return
         # Warm idle sandboxes: rebuild each node's per-workload stacks
-        # in the reference engine's dict-key creation order (lru_idle
+        # in the scalar loop's dict-key creation order (lru_idle
         # tie-breaks on it), each stack in append order, and requeue the
         # pending expiries under their original sequence numbers.  The
         # generation handshake (sandbox at 1, event carrying 1) makes
@@ -1709,258 +1601,11 @@ class FaaSCluster:
             node.busy_count = 0
             node.used_memory_mb = float(tail.final_used[b])
 
-    # ------------------------------------------------------------------
-    # drain internals
-    # ------------------------------------------------------------------
-    def _drain_events(self) -> None:
-        if self._tail is not None:
-            self._finalize_tail()
-        self._advance(_INF)
-        stuck = sum(len(n.pending) for n in self.nodes)
-        if stuck:
-            if self.queue_timeout_s is not None:
-                # every still-queued request has outlived its deadline by
-                # now (all service events have fired)
-                for node in self.nodes:
-                    for arrival_s, wid in node.pending:
-                        self.dropped.append((arrival_s, wid))
-                        self._trace("request_dropped", node.node_id, wid)
-                    node.pending.clear()
-            else:
-                raise RuntimeError(
-                    f"{stuck} requests remain queued after drain; the "
-                    "cluster deadlocked on memory (raise node_memory_mb "
-                    "or n_nodes, or set queue_timeout_s)"
-                )
-
-    def _drain_telemetry(self) -> None:
-        reg = _telemetry.active()
-        if reg is not None:
-            # gauges are idempotent, so repeated drains stay correct
-            reg.gauge("platform_nodes",
-                      "cluster size at drain time").set(len(self.nodes))
-            reg.gauge("platform_completed_invocations",
-                      "invocation records held by the cluster"
-                      ).set(self._store.n)
-            reg.gauge("platform_dropped_requests",
-                      "requests dropped on queue timeout so far"
-                      ).set(len(self.dropped))
-
-    # ------------------------------------------------------------------
-    # elasticity
-    # ------------------------------------------------------------------
-    def _apply_autoscaling(self, now_s: float) -> None:
-        scaler = self.autoscaler
-        if scaler is None:
-            return
-        desired = scaler.decide(now_s, self.nodes)
-        while desired > len(self.nodes):
-            self.nodes.append(
-                Node(self._next_node_id, self._node_memory_mb)
-            )
-            self._next_node_id += 1
-        while desired < len(self.nodes) and len(self.nodes) > 1:
-            victim = min(self.nodes, key=lambda n: n.busy_count)
-            if victim.busy_count > 0:
-                break  # nothing retirable right now; try next evaluation
-            # reclaim idle sandboxes and hand any backlog to a survivor
-            for stack in list(victim.idle.values()):
-                for sandbox in list(stack):
-                    sandbox.expire_generation += 1
-                    victim.remove_idle(sandbox)
-                    self._trace("sandbox_evicted", victim.node_id,
-                                sandbox.workload_id)
-            self.nodes.remove(victim)
-            if victim.pending:
-                self.nodes[0].pending.extend(victim.pending)
-
-    # ------------------------------------------------------------------
-    # scalar event machinery (exact reference-engine control flow)
-    # ------------------------------------------------------------------
-    def _trace(self, kind: str, node_id: int, workload_id: str) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self._clock, kind, node_id, workload_id)
-
-    def _push(self, when: float, kind: str, payload: tuple[Any, ...]) -> None:
-        heapq.heappush(self._heap, (when, self._seq_n, kind, payload))
-        self._seq_n += 1
-
-    def _advance(self, until: float) -> None:
-        """Fire every queued event due at or before ``until``, in heap
-        order; the clock ends on the latest event time fired.
-
-        Callers moving on to a later time set the clock themselves.  A
-        drain passes ``until=inf`` and fires the whole calendar in one
-        call, which leaves the clock where one call per distinct event
-        time would have.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        latest = -_INF
-        while heap and heap[0][0] <= until:
-            when, _, kind, payload = heappop(heap)
-            self._clock = when
-            if when > latest:
-                latest = when
-            if kind == "end":
-                self._on_completion(when, *payload)
-            elif kind == "crash":
-                self._on_crash(when, *payload)
-            else:  # "expire"
-                self._on_expiry(when, *payload)
-        if latest > self._clock:
-            self._clock = latest
-
-    def _try_start(self, node: Node, arrival_s: float,
-                   workload_id: str) -> bool:
-        """Start an invocation now if a sandbox can be had; else False."""
-        now = self._clock
-        profile = self.profiles[workload_id]
-        sandbox = node.pop_idle(workload_id)
-        if sandbox is not None:
-            self.keepalive.observe_idle_gap(
-                workload_id, now - sandbox.idle_since
-            )
-            sandbox.expire_generation += 1  # cancels the queued expiry
-            if self.tracer is not None:
-                self._trace("sandbox_reused", node.node_id, workload_id)
-            start = now
-            cold = False
-        else:
-            # Make room, evicting the least recently used idle sandboxes.
-            while (
-                node.used_memory_mb + profile.memory_mb
-                > node.memory_capacity_mb
-            ):
-                victim = node.lru_idle()
-                if victim is None:
-                    return False
-                victim.expire_generation += 1
-                node.remove_idle(victim)
-                if self.tracer is not None:
-                    self._trace("sandbox_evicted", node.node_id,
-                                victim.workload_id)
-            node.used_memory_mb += profile.memory_mb
-            if self.track_memory:
-                self.memory_samples.append(
-                    (now, node.node_id, node.used_memory_mb)
-                )
-            sandbox = _Sandbox(
-                sandbox_id=self._sandbox_n,
-                workload_id=workload_id,
-                memory_mb=profile.memory_mb,
-            )
-            self._sandbox_n += 1
-            if self.tracer is not None:
-                self._trace("sandbox_created", node.node_id, workload_id)
-            start = now + self.cold_start_model(profile)
-            cold = True
-
-        service_s = profile.runtime_ms / 1e3
-        if self._lognorm is not None:
-            sigma, mu = self._lognorm
-            service_s *= float(self._rng.lognormal(mu, sigma))
-        preemptions = 0
-        if self.cpu is not None:
-            # run-queue-aware dilation, fixed at admission time
-            w = self.cpu.policy.weight(workload_id)
-            dilated, preemptions = self.cpu.policy.contend(
-                service_s,
-                cores=self.cpu.cores,
-                quantum_s=self.cpu.quantum_s,
-                concurrent=node.busy_count + 1,
-                weight=w,
-                total_weight=node.cpu_weight + w,
-            )
-            if dilated > service_s and self.tracer is not None:
-                self._trace("invocation_contended", node.node_id,
-                            workload_id)
-            service_s = dilated
-            node.cpu_weight += w
-        end = start + service_s
-        ok = True
-        if self.fault_hook is not None:
-            frac = self.fault_hook.crash_fraction(
-                now, node.node_id, workload_id
-            )
-            if frac is not None:
-                end = start + service_s * min(max(frac, 0.0), 1.0)
-                ok = False
-        node.busy_count += 1
-        self._store.append(
-            self._store.code_for(workload_id),
-            node.node_id, arrival_s, start, end, cold, ok,
-            preempt=preemptions,
-        )
-        # Events carry the Node object itself: under autoscaling the
-        # nodes list mutates, so positional ids are not stable handles.
-        self._push(end, "end" if ok else "crash", (node, sandbox))
-        return True
-
-    def _on_completion(self, now: float, node: Node,
-                       sandbox: _Sandbox) -> None:
-        node.busy_count -= 1
-        if self.cpu is not None:
-            node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
-        sandbox.idle_since = now
-        sandbox.expire_generation += 1
-        node.push_idle(sandbox)
-        ttl = self.keepalive.ttl_s(sandbox.workload_id)
-        if ttl <= 0:
-            node.remove_idle(sandbox)
-        else:
-            self._push(now + ttl, "expire",
-                       (node, sandbox, sandbox.expire_generation))
-        if node.pending:
-            self._serve_pending(node)
-
-    def _on_crash(self, now: float, node: Node,
-                  sandbox: _Sandbox) -> None:
-        """The sandbox died mid-invocation: destroy it outright."""
-        del now
-        node.busy_count -= 1
-        if self.cpu is not None:
-            node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
-        sandbox.expire_generation += 1
-        node.used_memory_mb -= sandbox.memory_mb
-        if self.tracer is not None:
-            self._trace("sandbox_crashed", node.node_id,
-                        sandbox.workload_id)
-        if self.track_memory:
-            self.memory_samples.append(
-                (self._clock, node.node_id, node.used_memory_mb)
-            )
-        self._serve_pending(node)
-
-    def _on_expiry(self, now: float, node: Node, sandbox: _Sandbox,
-                   generation: int) -> None:
-        del now
-        if sandbox.expire_generation != generation:
-            return  # sandbox was reused or evicted in the meantime
-        node.remove_idle(sandbox)
-        if self.tracer is not None:
-            self._trace("sandbox_expired", node.node_id,
-                        sandbox.workload_id)
-        if self.track_memory:
-            self.memory_samples.append(
-                (self._clock, node.node_id, node.used_memory_mb)
-            )
-        if node.pending:
-            self._serve_pending(node)
-
-    def _serve_pending(self, node: Node) -> None:
-        while node.pending:
-            arrival_s, workload_id = node.pending[0]
-            if (
-                self.queue_timeout_s is not None
-                and self._clock - arrival_s > self.queue_timeout_s
-            ):
-                self.dropped.append(node.pending.pop(0))
-                self._trace("request_dropped", node.node_id, workload_id)
-                continue
-            if not self._try_start(node, arrival_s, workload_id):
-                return
-            node.pending.pop(0)
+    def _finish(self) -> None:
+        """Settle any bulk carry, then the shared drain."""
+        self._finalize_tail()
+        self._drain_events()
+        self._drain_telemetry(self._store.n)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,20 @@
-"""Differential equivalence: array engine vs reference object engine.
+"""Differential equivalence: bulk vs scalar submission, columnar vs
+object records.
 
-The headline contract of ISSUE 7: for every configuration, the
-array-native :class:`~repro.platform.simulator_vec.FaaSCluster` and the
-reference :class:`~repro.platform.simulator.ObjectFaaSCluster` produce
+:class:`~repro.platform.simulator_vec.FaaSCluster` and
+:class:`~repro.platform.simulator.ObjectFaaSCluster` run one shared
+scalar event loop and differ only in their record sinks, and
+``FaaSCluster`` adds a vectorised bulk path.  This suite pins both
+differences: bulk, chunked and mixed submission produce the same
 *byte-identical* invocation records, clocks, drops, memory samples, and
-trace streams.  Policies are stateful, so each engine run constructs its
-own fresh policy objects from a factory -- sharing one RNG-bearing
-scheduler between runs would compare a run against its own side effects.
+trace streams as per-request submission, and the columnar store
+materialises exactly the records the object sink appends.  Cases whose
+configuration keeps ``FaaSCluster`` on the scalar loop check the sinks
+and within-process determinism; the loop's own output is pinned by
+``tests/test_simulator_golden.py``.  Policies are stateful, so each run
+constructs its own fresh policy objects from a factory -- sharing one
+RNG-bearing scheduler between runs would compare a run against its own
+side effects.
 """
 
 import numpy as np
