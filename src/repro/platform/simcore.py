@@ -9,8 +9,8 @@ cold start, reuse, LRU eviction, keep-alive expiry, crash and FIFO
 backlog.  The two classes differ only in where an invocation record goes
 (columnar arrays vs ``InvocationRecord`` objects) and in
 ``FaaSCluster``'s vectorised bulk path, which must stay byte-identical
-to this loop.  Everything lives here so neither module has to import
-the other.
+to this loop.  Everything lives here so the array engine never has to
+import :mod:`repro.platform.simulator`.
 """
 
 from __future__ import annotations
