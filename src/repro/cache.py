@@ -49,7 +49,7 @@ __all__ = [
 #: Bump when a cached stage's output semantics change (new RNG layout,
 #: new spec field, ...): every fingerprint embeds it, so old entries
 #: simply stop matching instead of serving stale results.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Environment variable consulted by :func:`resolve_cache`.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

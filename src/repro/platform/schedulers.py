@@ -15,6 +15,7 @@ examples exercise under FaaSRail load:
 
 from __future__ import annotations
 
+import zlib
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -127,9 +128,11 @@ class LocalityAwareScheduler:
 class HashAffinityScheduler:
     """Deterministic workload-to-node stickiness with bounded spill.
 
-    The home node is a hash of the workload id; if the home node is heavily
-    loaded the request spills to the next node in hash order (bounded
-    linear probing), trading some affinity for load spreading.
+    The home node is the CRC-32 of the workload id modulo the node count
+    -- stable across processes, unlike the builtin ``hash()``, which
+    Python salts per process; if the home node is heavily loaded the
+    request spills to the next node in hash order (bounded linear
+    probing), trading some affinity for load spreading.
     """
 
     def __init__(self, spill_threshold: int = 8) -> None:
@@ -151,7 +154,7 @@ class HashAffinityScheduler:
 
     def pick(self, nodes: Sequence[Node], workload_id: str) -> int:
         n = len(nodes)
-        home = hash(workload_id) % n
+        home = zlib.crc32(workload_id.encode()) % n
         for probe in range(n):
             k = (home + probe) % n
             if nodes[k].busy_count < self._spill:
@@ -168,7 +171,7 @@ class HashAffinityScheduler:
         """
         n = len(nodes)
         return np.fromiter(
-            (hash(w) % n for w in workload_ids),
+            (zlib.crc32(w.encode()) % n for w in workload_ids),
             dtype=np.int64,
             count=len(workload_ids),
         )

@@ -1,8 +1,15 @@
 """Tests for the FaaS cluster simulator, keep-alive, schedulers, metrics."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.platform import (
     FaaSCluster,
     FixedKeepAlive,
@@ -233,6 +240,32 @@ class TestSchedulers:
     def test_hash_affinity_validation(self):
         with pytest.raises(ValueError):
             HashAffinityScheduler(spill_threshold=0)
+
+    def test_hash_affinity_placement_independent_of_hash_seed(self):
+        # the builtin hash() of a str is salted per process; placement
+        # must not be, or cached shootout cells depend on which process
+        # computed them first
+        code = (
+            "import json\n"
+            "from repro.platform.shootout import ShootoutCell, "
+            "ShootoutConfig, run_cell\n"
+            "row = run_cell(ShootoutConfig(seed=0), "
+            "ShootoutCell('hash', 'fixed', 'fifo'))\n"
+            "print(json.dumps(row, sort_keys=True))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        rows = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, timeout=300, check=True,
+            )
+            rows.append(json.loads(proc.stdout))
+        assert rows[0] == rows[1]
 
 
 class TestMetrics:

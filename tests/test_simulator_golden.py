@@ -203,8 +203,8 @@ def test_configs_exercise_what_they_name():
         assert any(r.preemptions for r in records), name
     for name in ("cpu-shortest-first-drops", "queue-timeout-drops"):
         assert seen[name][1].dropped, name
-    _, scaled, _ = seen["autoscaler-memory"]
-    assert scaled._next_node_id > 2
+    records, scaled, _ = seen["autoscaler-memory"]
+    assert max(r.node for r in records) >= 2  # a scaled-out node served
     assert scaled.memory_samples
     crashed, _, tracer = seen["crash-hook"]
     assert not all(r.ok for r in crashed)
