@@ -16,6 +16,8 @@ DET003      unordered-iter        no set/``dict.keys()`` iteration in
                                   seeded packages
 DET005      interproc-entropy     no calls whose *transitive* return value
                                   derives from entropy, in seeded stages
+DET006      builtin-hash          no builtin ``hash()`` (salted per
+                                  process) in deterministic modules
 CACHE001    fingerprint           cache fingerprints cover every
                                   output-affecting parameter
 CONC001     fork-unsafe-global    no module-global mutation reachable from

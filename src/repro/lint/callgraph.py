@@ -31,7 +31,7 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.context import FileContext, dotted_name
+from repro.lint.context import ENTROPY_SOURCES, FileContext, dotted_name
 
 __all__ = [
     "CallSite",
@@ -41,38 +41,9 @@ __all__ = [
     "build_project",
 ]
 
-#: Call targets whose return value is wall-clock or OS entropy -- the
-#: roots of the interprocedural taint analysis.  Mirrors (and extends)
-#: the DET001 deny list with the *unseeded* Generator constructors:
-#: ``np.random.default_rng()`` with no arguments seeds from OS entropy,
-#: which is exactly the laundering DET005 exists to catch.
-ENTROPY_SOURCES = frozenset({
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "time.clock_gettime",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-    "os.urandom",
-    "os.getrandom",
-    "uuid.uuid1",
-    "uuid.uuid4",
-    "secrets.token_bytes",
-    "secrets.token_hex",
-    "secrets.token_urlsafe",
-    "secrets.randbits",
-    "secrets.randbelow",
-})
-
 #: Constructors that are entropy sources only when called *without*
-#: arguments (seedless = OS-entropy-seeded).
+#: arguments: a seedless ``np.random.default_rng()`` seeds from OS
+#: entropy.  DET005 treats them, like ``ENTROPY_SOURCES``, as taint roots.
 UNSEEDED_CONSTRUCTORS = frozenset({
     "numpy.random.default_rng",
     "numpy.random.SeedSequence",

@@ -20,6 +20,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DETERMINISTIC_MODULE_PREFIXES",
+    "ENTROPY_SOURCES",
     "FileContext",
     "SEEDED_MODULE_PREFIXES",
     "dotted_name",
@@ -57,6 +58,35 @@ DETERMINISTIC_MODULE_PREFIXES = SEEDED_MODULE_PREFIXES + (
     "repro.parallel",
     "repro.loadgen.service",
 )
+
+
+#: Call targets whose value is wall-clock time or OS entropy.  DET001
+#: flags direct calls; DET005 uses them as the roots of its
+#: interprocedural taint analysis.
+ENTROPY_SOURCES = frozenset({
+    "time.time",
+    "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "time.clock_gettime",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+    "os.urandom",
+    "os.getrandom",
+    "uuid.uuid1",
+    "uuid.uuid4",
+    "secrets.token_bytes",
+    "secrets.token_hex",
+    "secrets.token_urlsafe",
+    "secrets.randbits",
+    "secrets.randbelow",
+})
 
 
 def _module_name(path: Path) -> str:

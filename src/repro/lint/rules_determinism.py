@@ -1,15 +1,17 @@
-"""DET00x: wall-clock, global RNG, and unordered-iteration rules."""
+"""DET00x: wall-clock, global RNG, unordered-iteration, pacing, and
+builtin-hash rules."""
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
 
-from repro.lint.context import FileContext, dotted_name
+from repro.lint.context import ENTROPY_SOURCES, FileContext, dotted_name
 from repro.lint.engine import Rule
 from repro.lint.findings import Finding
 
 __all__ = [
+    "NoBuiltinHash",
     "NoClosedLoopPacing",
     "NoGlobalRng",
     "NoUnorderedIteration",
@@ -31,37 +33,12 @@ class NoWallClock(Rule):
     rule_id = "DET001"
     slug = "wall-clock"
 
-    DENY = frozenset({
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "time.clock_gettime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-        "os.urandom",
-        "os.getrandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "secrets.token_bytes",
-        "secrets.token_hex",
-        "secrets.token_urlsafe",
-        "secrets.randbits",
-        "secrets.randbelow",
-    })
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             target = ctx.resolve(node.func)
-            if target in self.DENY:
+            if target in ENTROPY_SOURCES:
                 yield ctx.finding(
                     self.rule_id, self.slug, node,
                     f"call to wall-clock/entropy source `{target}`; "
@@ -324,3 +301,36 @@ class NoClosedLoopPacing(Rule):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             stack.extend(ast.iter_child_nodes(node))
+
+
+class NoBuiltinHash(Rule):
+    """DET006: no builtin ``hash()`` in deterministic modules.
+
+    CPython salts ``str``/``bytes`` hashes per process
+    (``PYTHONHASHSEED``), so a placement or bucketing decision keyed on
+    ``hash(workload_id)`` differs between two runs of one seed -- and
+    between the two processes of a cache writer and reader.  Use a
+    stable digest such as ``zlib.crc32`` or ``hashlib.blake2b``.
+    """
+
+    rule_id = "DET006"
+    slug = "builtin-hash"
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.in_deterministic_scope:
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = ctx.resolve(node.func)
+            if target == "builtins.hash" or (
+                target is None
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "hash"
+            ):
+                yield ctx.finding(
+                    self.rule_id, self.slug, node,
+                    "builtin `hash()` is salted per process; use a "
+                    "stable digest (zlib.crc32, hashlib.blake2b) so "
+                    "reruns in other processes agree",
+                )

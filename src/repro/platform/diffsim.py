@@ -147,8 +147,8 @@ def random_config(rng: np.random.Generator) -> FuzzConfig:
         track_memory=bool(rng.random() < 0.3),
         quantize=bool(rng.random() < 0.4),
         batch=str(rng.choice(BATCH_MODES)),
-        # zero TTL is a distinct code path (immediate teardown despite a
-        # "fixed" policy), so it gets explicit weight
+        # zero TTL is the bulk commit's degenerate case (immediate
+        # teardown despite a "fixed" policy), so it gets explicit weight
         keepalive_ttl=float(rng.choice([0.0, 0.2, 1.0, 5.0])),
         chunk_rows=int(rng.choice([1, 7, 64])),
         # 0 keeps the contention model off for half the tuples so the

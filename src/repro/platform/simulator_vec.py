@@ -18,10 +18,13 @@ struct-of-arrays storage:
   timestamp-ordered slab of requests.  When the configuration provably
   cannot diverge from the scalar path (see :meth:`_bulk_eligible`), the
   cold-start, warm-reuse, expiry, completion, and memory transitions of
-  the entire slab are applied with per-pool replay plus one lexsort +
-  cumsum per node instead of one event-heap cycle per request.  The
-  envelope covers constant keep-alive TTLs (``NoKeepAlive`` and
-  ``FixedKeepAlive``), lognormal service-time jitter (one pre-drawn
+  the entire slab are applied by one commit (:meth:`_bulk_commit`): a
+  K-slot lockstep scan across ``(node, workload)`` pools
+  (:func:`_scan_pools`) decides warm reuse, then one event sort +
+  cumsum per node replays memory, instead of one event-heap cycle per
+  request.  The envelope covers constant keep-alive TTLs (zero TTL --
+  ``NoKeepAlive`` or ``FixedKeepAlive(0)`` -- is the commit's
+  degenerate case), lognormal service-time jitter (one pre-drawn
   array per slab, stream-equal to the scalar draws, rewound on
   fallback), and batch-capable schedulers; whatever the slab leaves
   outstanding -- running invocations *and* warm idle sandboxes --
@@ -49,8 +52,7 @@ See docs/SIMULATOR.md for how to add a policy without breaking this.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, Protocol, cast
 
@@ -306,7 +308,7 @@ class _RecordStore:
         )
 
 
-#: Shared empty columns for carries with no idle component (zero TTL).
+#: Shared empty columns standing in for an absent carry.
 _F0 = np.empty(0, np.float64)
 _I0 = np.empty(0, np.int64)
 
@@ -368,6 +370,128 @@ def _group_stable(
     return packed & ((1 << shift) - 1)
 
 
+def _scan_pools(
+    ts: npt.NDArray[np.float64],
+    gid: npt.NDArray[np.int64],
+    cstart: npt.NDArray[np.float64],
+    svc_req: npt.NDArray[np.float64],
+    ttl: float,
+    c_gid: npt.NDArray[np.int64],
+    c_e: npt.NDArray[np.float64],
+    c_q: npt.NDArray[np.int64],
+) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64], int]:
+    """Warm-reuse decisions of one positive-TTL slab, as ``(consumer,
+    source)`` row pairs, one per warm start, plus the slab's pool count.
+
+    Placement is fixed up front, so each ``(node, workload)`` pool
+    replays the keep-alive model on its own: a sandbox is warm iff
+    ``e <= t < e + ttl`` (idle since ``e``, not yet expired), reuse is
+    LIFO -- the live sandbox with the largest ``(e, seq)`` -- and a cold
+    start takes a slot that is not busy.  Every pool holds K slots, each
+    a completion or idle-from time plus a key naming the row that last
+    filled it, stored as K per-slot arrays across pools.  The scan walks
+    arrival ranks, vectorised across the pools still active at each
+    rank.  K starts at the deepest carried pool (at least 2) and grows
+    by one slot for every pool whenever a cold start finds all of its
+    pool's slots busy.
+
+    Carried row ``i`` (``c_*``: the previous carry's busy rows, then its
+    idle rows, with their end-event sequence numbers ``c_q``) is source
+    ``n + i``; new invocation ``k`` is source ``k``.
+    """
+    n = int(ts.size)
+    order = _group_stable(gid)
+    g_sorted = gid[order]
+    head = np.empty(n, np.bool_)
+    head[0] = True
+    np.not_equal(g_sorted[1:], g_sorted[:-1], out=head[1:])
+    pool_start = np.nonzero(head)[0]
+    pool_gids = g_sorted[pool_start]
+    pool_len = np.diff(np.append(pool_start, n))
+    n_pools = int(pool_gids.size)
+    # longest pools first, so the pools active at rank r are a prefix
+    po = np.argsort(-pool_len, kind="stable")
+    d_start = pool_start[po]
+    d_len = pool_len[po]
+    pool_rank = np.empty(n_pools, np.int64)
+    pool_rank[po] = np.arange(n_pools, dtype=np.int64)
+
+    # A slot's key orders like the end-event sequence number of the row
+    # that last filled it and names that row: new invocation k has key
+    # k (its end events number in arrival order, after every carried
+    # one); carried rows take negative keys in sequence order.
+    nq = int(c_q.size)
+    by_q = np.argsort(c_q)
+    c_key = np.empty(nq, np.int64)
+    c_key[by_q] = np.arange(-nq, 0, dtype=np.int64)
+    # carried rows of this slab's pools fill slots 0, 1, ... of their pool
+    pos = np.minimum(np.searchsorted(pool_gids, c_gid), n_pools - 1)
+    cr = np.nonzero(pool_gids[pos] == c_gid)[0]
+    cp = pool_rank[pos[cr]]
+    co = np.argsort(cp, kind="stable")
+    cr, cp = cr[co], cp[co]
+    depth = np.arange(cp.size, dtype=np.int64) - np.searchsorted(cp, cp)
+    slot_e: list[npt.NDArray[np.float64]] = []
+    slot_k: list[npt.NDArray[np.int64]] = []
+
+    def add_slot() -> None:
+        slot_e.append(np.full(n_pools, -np.inf, np.float64))
+        slot_k.append(np.full(n_pools, -nq - 1, np.int64))
+
+    for j in range(max(2, int(depth.max(initial=-1)) + 1)):
+        add_slot()
+        at = depth == j
+        slot_e[j][cp[at]] = c_e[cr[at]]
+        slot_k[j][cp[at]] = c_key[cr[at]]
+
+    max_len = int(d_len[0])
+    active_at = np.searchsorted(
+        -d_len, -np.arange(1, max_len + 1, dtype=np.int64), side="right"
+    )
+    warm_k_parts: list[npt.NDArray[np.int64]] = []
+    warm_key_parts: list[npt.NDArray[np.int64]] = []
+    for r in range(max_len):
+        m = int(active_at[r])
+        k_idx = order[d_start[:m] + r]
+        t = ts[k_idx]
+        # The non-busy slot with the largest (e, seq) is live iff any
+        # non-busy slot is (an older idle sandbox expires no later), so
+        # one argmax yields the LIFO reuse when warm and, when cold, a
+        # dead slot the new sandbox may overwrite.
+        top = np.full(m, -1, np.int64)
+        top_e = np.full(m, -np.inf, np.float64)
+        top_k = np.full(m, -nq - 2, np.int64)
+        for j in range(len(slot_e)):
+            a = slot_e[j][:m]
+            kj = slot_k[j][:m]
+            up = (a <= t) & ((a > top_e) | ((a == top_e) & (kj > top_k)))
+            top[up] = j
+            np.copyto(top_e, a, where=up)
+            np.copyto(top_k, kj, where=up)
+        warm = t < top_e + ttl
+        full = top < 0
+        if bool(full.any()):
+            # a cold start found every slot of its pool busy
+            top[full] = len(slot_e)
+            add_slot()
+        w = np.nonzero(warm)[0]
+        if w.size:
+            warm_k_parts.append(k_idx[w])
+            warm_key_parts.append(top_k[w])
+        endv = np.where(warm, t, cstart[k_idx]) + svc_req[k_idx]
+        for j in range(len(slot_e)):
+            hit = top == j
+            np.copyto(slot_e[j][:m], endv, where=hit)
+            np.copyto(slot_k[j][:m], k_idx, where=hit)
+
+    if not warm_k_parts:
+        return _I0, _I0, n_pools
+    warm_src = np.concatenate(warm_key_parts)
+    carried = warm_src < 0
+    warm_src[carried] = n + by_q[warm_src[carried] + nq]
+    return np.concatenate(warm_k_parts), warm_src, n_pools
+
+
 @dataclass
 class _BulkTail:
     """Vectorised carry a bulk slab leaves behind past its last arrival.
@@ -402,17 +526,15 @@ class _BulkTail:
     node_idx: npt.NDArray[np.int64]
     mem_mb: npt.NDArray[np.float64]
     codes: npt.NDArray[np.int64]
-    idle_from: npt.NDArray[np.float64] = field(default_factory=lambda: _F0)
-    idle_xa: npt.NDArray[np.float64] = field(default_factory=lambda: _F0)
-    idle_seq: npt.NDArray[np.int64] = field(default_factory=lambda: _I0)
-    idle_order: npt.NDArray[np.int64] = field(default_factory=lambda: _I0)
-    idle_node: npt.NDArray[np.int64] = field(default_factory=lambda: _I0)
-    idle_mem: npt.NDArray[np.float64] = field(default_factory=lambda: _F0)
-    idle_codes: npt.NDArray[np.int64] = field(default_factory=lambda: _I0)
-    idle_key_time: npt.NDArray[np.float64] = field(
-        default_factory=lambda: _F0
-    )
-    idle_key_tie: npt.NDArray[np.int64] = field(default_factory=lambda: _I0)
+    idle_from: npt.NDArray[np.float64]
+    idle_xa: npt.NDArray[np.float64]
+    idle_seq: npt.NDArray[np.int64]
+    idle_order: npt.NDArray[np.int64]
+    idle_node: npt.NDArray[np.int64]
+    idle_mem: npt.NDArray[np.float64]
+    idle_codes: npt.NDArray[np.int64]
+    idle_key_time: npt.NDArray[np.float64]
+    idle_key_tie: npt.NDArray[np.int64]
 
 
 # ----------------------------------------------------------------------
@@ -662,16 +784,10 @@ class FaaSCluster(_ScalarCluster):
             rng_state = self._rng.bit_generator.state
             svc_req = svc_req * self._rng.lognormal(mu, sigma, n)
 
-        if ttl > 0:
-            ok = self._bulk_commit_keepalive(
-                ts, codes, node_idx, mem, coldcost, svc_req, ttl,
-                busy_cap, words, old,
-            )
-        else:
-            ok = self._bulk_commit_teardown(
-                ts, codes, node_idx, mem, coldcost, svc_req,
-                busy_cap, words, old,
-            )
+        ok = self._bulk_commit(
+            ts, codes, node_idx, mem, coldcost, svc_req, ttl,
+            busy_cap, words, old,
+        )
         if not ok:
             if speculative:
                 cast(BatchScheduler, sched).restore(saved)
@@ -692,127 +808,7 @@ class FaaSCluster(_ScalarCluster):
             count=len(self.nodes),
         )
 
-    def _bulk_commit_teardown(
-        self,
-        ts: npt.NDArray[np.float64],
-        codes: npt.NDArray[np.int64],
-        node_idx: npt.NDArray[np.int64],
-        mem: npt.NDArray[np.float64],
-        coldcost: npt.NDArray[np.float64],
-        svc_req: npt.NDArray[np.float64],
-        busy_cap: int | None,
-        words: list[str],
-        old: _BulkTail | None,
-    ) -> bool:
-        """Zero-TTL slab: every start is cold, memory frees at
-        completion, no expiry events exist -- so the whole slab is one
-        event calendar per node (+mem at arrival, -mem at completion,
-        completions carried from earlier chunks included), cumsum-folded
-        in the scalar loop's exact order."""
-        n = int(ts.size)
-        n_nodes = len(self.nodes)
-        last_t = float(ts[-1])
-        seq0 = self._seq_n
-        req_mem = mem[codes]
-        start = ts + coldcost[codes]
-        if old is not None:
-            c_end, c_seq = old.ends, old.seqs
-            c_node, c_mem, c_codes = old.node_idx, old.mem_mb, old.codes
-        else:
-            c_end, c_mem = _F0, _F0
-            c_seq, c_node, c_codes = _I0, _I0, _I0
-        end = start + svc_req
-
-        # Sorting by (node, time, completion-before-arrival, heap seq)
-        # reproduces the scalar loop's event order exactly: events
-        # with ``when <= t`` pop before the arrival at ``t``, ties break
-        # on push sequence.  Carried completions keep their absolute
-        # sequence numbers (all below seq0), new events use seq0+i as an
-        # order-preserving proxy.
-        sub = np.arange(n, dtype=np.int64)
-        new_seq = seq0 + sub
-        ev_time = np.concatenate((ts, end, c_end))
-        ev_phase = np.concatenate(
-            (np.ones(n, np.uint8), np.zeros(n + c_end.size, np.uint8))
-        )
-        ev_tie = np.concatenate((new_seq, new_seq, c_seq))
-        ev_node = np.concatenate((node_idx, node_idx, c_node))
-        ev_delta = np.concatenate((req_mem, -req_mem, -c_mem))
-        order = np.lexsort((ev_tie, ev_phase, ev_time, ev_node))
-        s_time = ev_time[order]
-        s_alloc = ev_phase[order] == 1
-        s_delta = ev_delta[order]
-        counts = np.bincount(ev_node, minlength=n_nodes)
-        bounds = np.zeros(n_nodes + 1, np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        new_used = np.empty(n_nodes, np.float64)
-        final_used = np.empty(n_nodes, np.float64)
-        busy_after = np.zeros(n_nodes, np.int64)
-        for b, node in enumerate(self.nodes):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            # cumsum folds the deltas sequentially, so the running
-            # usage is bitwise the scalar loop's +=/-= chain
-            block = np.empty(hi - lo + 1, np.float64)
-            block[0] = node.used_memory_mb
-            block[1:] = s_delta[lo:hi]
-            usage = np.cumsum(block)
-            alloc_here = s_alloc[lo:hi]
-            admitted = usage[1:][alloc_here]
-            if bool(np.any(admitted > node.memory_capacity_mb)):
-                # at least one admission would queue: scalar path owns
-                # the backlog semantics
-                return False
-            if busy_cap is not None:
-                busy = np.empty(hi - lo + 1, np.int64)
-                busy[0] = node.busy_count
-                busy[1:] = np.where(alloc_here, 1, -1)
-                trail = np.cumsum(busy)
-                if bool(
-                    np.any(trail[1:][alloc_here] - 1 >= busy_cap)
-                ):
-                    # a pick saw a full node: the scalar scheduler would
-                    # have spilled, so the speculative batch is invalid
-                    return False
-            cut = int(np.searchsorted(s_time[lo:hi], last_t, side="right"))
-            new_used[b] = usage[cut]
-            final_used[b] = usage[-1]
-            busy_after[b] = (hi - lo) - cut
-
-        # -- commit ----------------------------------------------------
-        self._seq_n += n
-        self._sandbox_n += n
-        self._clock = last_t
-        self._store.extend(
-            self._store_codes()[codes], self._node_ids()[node_idx],
-            ts, start, end, cold=True, ok=True,
-        )
-        for b, node in enumerate(self.nodes):
-            node.busy_count = int(busy_after[b])
-            node.used_memory_mb = float(new_used[b])
-        out_new = end > last_t
-        out_old = c_end > last_t
-        t_ends = np.concatenate((end[out_new], c_end[out_old]))
-        if t_ends.size:
-            self._tail = _BulkTail(
-                ttl=0.0,
-                words=words,
-                final_used=final_used,
-                drain_clock=float(t_ends.max()),
-                ends=t_ends,
-                seqs=np.concatenate((new_seq[out_new], c_seq[out_old])),
-                node_idx=np.concatenate(
-                    (node_idx[out_new], c_node[out_old])
-                ),
-                mem_mb=np.concatenate(
-                    (req_mem[out_new], c_mem[out_old])
-                ),
-                codes=np.concatenate((codes[out_new], c_codes[out_old])),
-            )
-        else:
-            self._tail = None
-        return True
-
-    def _bulk_commit_keepalive(
+    def _bulk_commit(
         self,
         ts: npt.NDArray[np.float64],
         codes: npt.NDArray[np.int64],
@@ -825,18 +821,23 @@ class FaaSCluster(_ScalarCluster):
         words: list[str],
         old: _BulkTail | None,
     ) -> bool:
-        """Fixed positive-TTL slab.
+        """Apply one constant-TTL slab.
 
-        Warm-versus-cold is decided by replaying each ``(node,
-        workload)`` idle pool in isolation -- placement is fixed up
-        front, so pools only couple through memory pressure, which is
-        checked vectorised afterwards and falls back to scalar on any
-        overflow (exactly when the scalar engine would evict or queue).
-        Sequence numbers, the memory trajectory, and the carry are then
-        reconstructed in the scalar loop's exact event order:
-        every arrival pushes an end event and every in-slab completion
-        pushes an expiry event, so heap sequence numbers interleave and
-        are assigned by a merged sort rather than arithmetic.
+        Warm-versus-cold is decided per ``(node, workload)`` idle pool
+        (:func:`_scan_pools`) -- placement is fixed up front, so pools
+        only couple through memory pressure, which is checked vectorised
+        afterwards and falls back to scalar on any overflow (exactly
+        when the scalar engine would evict or queue).  Sequence numbers,
+        the memory trajectory, and the carry are then reconstructed in
+        the scalar loop's exact event order: every arrival pushes an end
+        event and every in-slab completion pushes an expiry event, so
+        heap sequence numbers interleave and are assigned by a merged
+        sort rather than arithmetic.
+
+        Zero TTL is the degenerate case: every start is cold, so there
+        is nothing to scan; completions push no expiry event, and each
+        releases its memory at once, under its own end-event sequence
+        number.
         """
         n = int(ts.size)
         n_nodes = len(self.nodes)
@@ -865,180 +866,28 @@ class FaaSCluster(_ScalarCluster):
         nb = int(ob_end.size)
         nc = int(oi_from.size)
 
-        # ---- pool decision replay (pure: no engine state touched) ----
         # Sources are numbered: new invocation k -> k, carried busy row
         # r -> n + r, carried idle row r -> n + nb + r.
-        #
-        # Pools couple only through memory (checked afterwards), so each
-        # pool replays independently.  The common case -- a pool that
-        # never holds more than two live sandboxes at once -- fits a
-        # two-slot recursion (a slot is warm-reusable iff ``e <= t <
-        # e + ttl``, LIFO picks the later-idled slot, cold starts land
-        # in a non-busy slot), which runs here as a lockstep scan
-        # vectorised *across* pools, one rank at a time.  A pool that
-        # sees an arrival while both slots are busy (or starts with
-        # more than two carried rows) is flagged complex and resumes in
-        # the exact heap-and-deque loop from its frozen state.
-        cold_arr = np.zeros(n, np.bool_)
-        end_new = np.empty(n, np.float64)
         reuse_src_arr = np.full(n, -1, np.int64)
         reused_arr = np.zeros(n + nb + nc, np.bool_)
-
-        order = _group_stable(gid)
-        g_sorted = gid[order]
-        head = np.empty(n, np.bool_)
-        head[0] = True
-        np.not_equal(g_sorted[1:], g_sorted[:-1], out=head[1:])
-        pool_start = np.nonzero(head)[0]
-        pool_gids = g_sorted[pool_start]
-        pool_len = np.diff(np.append(pool_start, n))
-        n_pools = int(pool_gids.size)
-
-        # slot state: completion/idle-from time, heap tie, source row
-        e1 = np.full(n_pools, -np.inf, np.float64)
-        q1 = np.zeros(n_pools, np.int64)
-        s1 = np.full(n_pools, -1, np.int64)
-        e2 = np.full(n_pools, -np.inf, np.float64)
-        q2 = np.zeros(n_pools, np.int64)
-        s2 = np.full(n_pools, -1, np.int64)
-        carried_ct = np.zeros(n_pools, np.int64)
-        cr_pos_parts: list[npt.NDArray[np.int64]] = []
-        cr_e_parts: list[npt.NDArray[np.float64]] = []
-        cr_q_parts: list[npt.NDArray[np.int64]] = []
-        cr_s_parts: list[npt.NDArray[np.int64]] = []
-        if nb:
-            bg = ob_node * n_words + ob_code
-            bpos = np.minimum(
-                np.searchsorted(pool_gids, bg), n_pools - 1
-            )
-            b_in = pool_gids[bpos] == bg
-            np.add.at(carried_ct, bpos[b_in], 1)
-            cr_pos_parts.append(bpos[b_in])
-            cr_e_parts.append(ob_end[b_in])
-            cr_q_parts.append(ob_seq[b_in])
-            cr_s_parts.append(n + np.nonzero(b_in)[0])
-        if nc:
-            ig = oi_node * n_words + oi_code
-            ipos = np.minimum(
-                np.searchsorted(pool_gids, ig), n_pools - 1
-            )
-            i_in = pool_gids[ipos] == ig
-            np.add.at(carried_ct, ipos[i_in], 1)
+        n_pools = 0
+        if ttl > 0:
             # the stored expiry is bitwise ``from + ttl`` (ttl-compat is
             # an eligibility condition), so carrying ``from`` suffices
-            cr_pos_parts.append(ipos[i_in])
-            cr_e_parts.append(oi_from[i_in])
-            cr_q_parts.append(oi_order[i_in])
-            cr_s_parts.append(n + nb + np.nonzero(i_in)[0])
-        if cr_pos_parts:
-            cr_pos = np.concatenate(cr_pos_parts)
-            cr_e = np.concatenate(cr_e_parts)
-            cr_q = np.concatenate(cr_q_parts)
-            cr_s = np.concatenate(cr_s_parts)
-            co = np.argsort(cr_pos, kind="stable")
-            ps = cr_pos[co]
-            first = np.empty(ps.size, np.bool_)
-            if ps.size:
-                first[0] = True
-                np.not_equal(ps[1:], ps[:-1], out=first[1:])
-            occ = np.arange(ps.size, dtype=np.int64)
-            occ -= np.maximum.accumulate(np.where(first, occ, 0))
-            fill1 = co[occ == 0]
-            e1[cr_pos[fill1]] = cr_e[fill1]
-            q1[cr_pos[fill1]] = cr_q[fill1]
-            s1[cr_pos[fill1]] = cr_s[fill1]
-            fill2 = co[occ == 1]
-            e2[cr_pos[fill2]] = cr_e[fill2]
-            q2[cr_pos[fill2]] = cr_q[fill2]
-            s2[cr_pos[fill2]] = cr_s[fill2]
-
-        # longest pools first, so the active set at rank r is a prefix
-        po = np.argsort(-pool_len, kind="stable")
-        d_start = pool_start[po]
-        d_len = pool_len[po]
-        e1, q1, s1 = e1[po], q1[po], s1[po]
-        e2, q2, s2 = e2[po], q2[po], s2[po]
-        complex_d = (carried_ct > 2)[po]
-        # rank at which a pool froze: its earlier decisions stand and
-        # the exact loop resumes there from the frozen slot state;
-        # -1 + complex means replay from rank 0 off the carried rows
-        flag_rank_d = np.full(n_pools, -1, np.int64)
-        max_len = int(d_len[0]) if n_pools else 0
-        ranks = np.arange(max_len, dtype=np.int64)
-        active_at = np.searchsorted(-d_len, -(ranks + 1), side="right")
-        warm_k_parts: list[npt.NDArray[np.int64]] = []
-        warm_src_parts: list[npt.NDArray[np.int64]] = []
-        for r in range(max_len):
-            m = int(active_at[r])
-            if m < 32:
-                # too few pools left to amortise a vector step: hand
-                # their remaining ranks to the exact loop wholesale
-                fresh = ~complex_d[:m]
-                flag_rank_d[:m][fresh] = r
-                complex_d[:m] = True
-                break
-            k_idx = order[d_start[:m] + r]
-            t = ts[k_idx]
-            a1, a2 = e1[:m], e2[:m]
-            b1 = t < a1
-            b2 = t < a2
-            l1 = ~b1 & (t < a1 + ttl)
-            l2 = ~b2 & (t < a2 + ttl)
-            warm = l1 | l2
-            # LIFO: reuse the later-idled live slot (tie on heap seq)
-            gt2 = (a2 > a1) | ((a2 == a1) & (q2[:m] > q1[:m]))
-            pick2 = l2 & (~l1 | gt2)
-            pick1 = warm & ~pick2
-            # cold starts land in a non-busy (empty or expired) slot
-            place1 = ~warm & ~b1
-            place2 = ~warm & b1 & ~b2
-            overflow = ~(warm | place1 | place2)
-            if bool(overflow.any()):
-                newly = overflow & ~complex_d[:m]
-                flag_rank_d[:m][newly] = r
-                complex_d[:m] |= overflow
-            svc = svc_req[k_idx]
-            endv = np.where(warm, t + svc, cstart[k_idx] + svc)
-            end_new[k_idx] = endv
-            cold_arr[k_idx] = ~warm
-            frozen = complex_d[:m]
-            masked = bool(frozen.any())
-            if masked:
-                warm &= ~frozen
-            w = np.nonzero(warm)[0]
-            if w.size:
-                warm_k_parts.append(k_idx[w])
-                warm_src_parts.append(  # pre-update sources
-                    np.where(pick2[w], s2[w], s1[w])
-                )
-            upd1 = pick1 | place1
-            upd2 = pick2 | place2
-            if masked:
-                upd1 &= ~frozen
-                upd2 &= ~frozen
-            qv = seq0 + k_idx
-            np.copyto(a1, endv, where=upd1)
-            np.copyto(q1[:m], qv, where=upd1)
-            np.copyto(s1[:m], k_idx, where=upd1)
-            np.copyto(a2, endv, where=upd2)
-            np.copyto(q2[:m], qv, where=upd2)
-            np.copyto(s2[:m], k_idx, where=upd2)
-
-        if warm_k_parts:
-            # pre-freeze decisions are exact, so every recorded reuse
-            # stands (freezing suppresses marks from the frozen rank on)
-            wk = np.concatenate(warm_k_parts)
-            ws = np.concatenate(warm_src_parts)
-            reuse_src_arr[wk] = ws
-            reused_arr[ws] = True
-        if bool(complex_d.any()):
-            self._replay_complex_pools(
-                order, d_start, d_len, complex_d, flag_rank_d,
-                (e1, q1, s1), (e2, q2, s2), g_sorted, ts, gid, svc_req,
-                cstart, ttl, seq0, n, nb, n_words, ob_end, ob_seq,
-                ob_node, ob_code, oi_from, oi_xa, oi_order, oi_node,
-                oi_code, cold_arr, end_new, reuse_src_arr, reused_arr,
+            warm_k, warm_src, n_pools = _scan_pools(
+                ts, gid, cstart, svc_req, ttl,
+                np.concatenate((
+                    ob_node * n_words + ob_code,
+                    oi_node * n_words + oi_code,
+                )),
+                np.concatenate((ob_end, oi_from)),
+                np.concatenate((ob_seq, oi_order)),
             )
+            reuse_src_arr[warm_k] = warm_src
+            reused_arr[warm_src] = True
+        cold_arr = reuse_src_arr < 0
+        start_vec = np.where(cold_arr, cstart, ts)
+        end_new = start_vec + svc_req
         sub = np.arange(n, dtype=np.int64)
 
         # completions this slab can observe: new + carried busy
@@ -1063,20 +912,26 @@ class FaaSCluster(_ScalarCluster):
         # Heap sequence numbers: every arrival pushes its end event and
         # every in-slab-processed completion pushes an expiry event, in
         # merged (time, completion-before-arrival, push order) order.
+        # Without expiries the end events number consecutively, and the
+        # memory a completion frees goes under its own end number.
         proc_end = comp_end[proc_idx]
-        m_time = np.concatenate((ts, proc_end))
-        m_phase = np.concatenate(
-            (np.ones(n, np.uint8), np.zeros(np_proc, np.uint8))
-        )
-        m_tie = np.concatenate((seq0 + sub, comp_tie[proc_idx]))
-        mo = _event_order(m_time, m_phase, m_tie)
-        seq_assign = np.empty(n + np_proc, np.int64)
-        seq_assign[mo] = seq0 + np.arange(n + np_proc, dtype=np.int64)
-        end_seq_new = seq_assign[:n]
-        exp_seq_proc = seq_assign[n:]
+        n_exp = np_proc if ttl > 0 else 0
+        if n_exp:
+            m_time = np.concatenate((ts, proc_end))
+            m_phase = np.concatenate(
+                (np.ones(n, np.uint8), np.zeros(np_proc, np.uint8))
+            )
+            m_tie = np.concatenate((seq0 + sub, comp_tie[proc_idx]))
+            mo = _event_order(m_time, m_phase, m_tie)
+            seq_assign = np.empty(n + np_proc, np.int64)
+            seq_assign[mo] = seq0 + np.arange(n + np_proc, dtype=np.int64)
+            end_seq_new = seq_assign[:n]
+        else:
+            end_seq_new = seq0 + sub
         comp_end_seq = (
             np.concatenate((end_seq_new, ob_seq)) if nb else end_seq_new
         )
+        exp_seq_proc = seq_assign[n:] if n_exp else comp_end_seq[proc_idx]
 
         # idle-pool lifecycle entries: processed completions + carry
         if nc:
@@ -1118,7 +973,8 @@ class FaaSCluster(_ScalarCluster):
         p_keep = ~p_reused & (p_xa > last_t)
 
         # memory calendar: +mem at each cold arrival, -mem at each
-        # in-slab expiry, in the scalar loop's heap order per node
+        # in-slab expiry (at completion under zero TTL), in the scalar
+        # loop's heap order per node
         a_idx = np.nonzero(cold_arr)[0]
         f_idx = np.nonzero(p_fired)[0]
         ev_time = np.concatenate((ts[a_idx], p_xa[f_idx]))
@@ -1194,10 +1050,9 @@ class FaaSCluster(_ScalarCluster):
         )
 
         # -- commit ----------------------------------------------------
-        self._seq_n += n + np_proc
+        self._seq_n += n + n_exp
         self._sandbox_n += int(cold_arr.sum())
         self._clock = last_t
-        start_vec = np.where(cold_arr, cstart, ts)
         self._store.extend(
             self._store_codes()[codes], self._node_ids()[node_idx],
             ts, start_vec, end_new, cold=cold_arr, ok=True,
@@ -1378,147 +1233,6 @@ class FaaSCluster(_ScalarCluster):
         key_time[krows] = kt[kseg]
         key_tie[krows] = kq[kseg]
         return key_time, key_tie
-
-    def _replay_complex_pools(
-        self,
-        order: npt.NDArray[np.int64],
-        d_start: npt.NDArray[np.int64],
-        d_len: npt.NDArray[np.int64],
-        complex_d: npt.NDArray[np.bool_],
-        flag_rank_d: npt.NDArray[np.int64],
-        slot1: tuple[
-            npt.NDArray[np.float64],
-            npt.NDArray[np.int64],
-            npt.NDArray[np.int64],
-        ],
-        slot2: tuple[
-            npt.NDArray[np.float64],
-            npt.NDArray[np.int64],
-            npt.NDArray[np.int64],
-        ],
-        g_sorted: npt.NDArray[np.int64],
-        ts: npt.NDArray[np.float64],
-        gid: npt.NDArray[np.int64],
-        svc_req: npt.NDArray[np.float64],
-        cstart: npt.NDArray[np.float64],
-        ttl: float,
-        seq0: int,
-        n: int,
-        nb: int,
-        n_words: int,
-        ob_end: npt.NDArray[np.float64],
-        ob_seq: npt.NDArray[np.int64],
-        ob_node: npt.NDArray[np.int64],
-        ob_code: npt.NDArray[np.int64],
-        oi_from: npt.NDArray[np.float64],
-        oi_xa: npt.NDArray[np.float64],
-        oi_order: npt.NDArray[np.int64],
-        oi_node: npt.NDArray[np.int64],
-        oi_code: npt.NDArray[np.int64],
-        cold_arr: npt.NDArray[np.bool_],
-        end_new: npt.NDArray[np.float64],
-        reuse_src_arr: npt.NDArray[np.int64],
-        reused_arr: npt.NDArray[np.bool_],
-    ) -> None:
-        """Exact heap-and-deque replay of the *complex* pools -- the
-        ones the lockstep scan could not carry because three sandboxes
-        were live at once.  Pools are independent, so each replays only
-        its own requests in arrival order.  A pool flagged mid-scan
-        (``flag_rank >= 0``) resumes from its frozen two-slot state --
-        the scan's earlier decisions stand; a pool complex from the
-        start (more than two carried rows) replays from rank 0 off the
-        carried arrays."""
-        busy_g: dict[int, list[tuple[float, int, int]]] = {}
-        idle_g: dict[int, deque[tuple[float, int, int, float]]] = {}
-        parts: list[npt.NDArray[np.int64]] = []
-        cat_a = np.nonzero(complex_d & (flag_rank_d < 0))[0]
-        cat_b = np.nonzero(flag_rank_d >= 0)[0]
-        if cat_a.size:
-            gids_a = set(g_sorted[d_start[cat_a]].tolist())
-            for p in cat_a.tolist():
-                parts.append(order[d_start[p]:d_start[p] + d_len[p]])
-            if nb:
-                for r, (e, q, g) in enumerate(zip(
-                    ob_end.tolist(), ob_seq.tolist(),
-                    (ob_node * n_words + ob_code).tolist(),
-                )):
-                    if g in gids_a:
-                        busy_g.setdefault(g, []).append((e, q, n + r))
-                for h in busy_g.values():
-                    heapq.heapify(h)
-            if oi_from.size:
-                # idle rows are stored sorted by (pool, idled-at,
-                # append sequence) == stack append order: plain appends
-                # rebuild each deque exactly
-                for r, (f0, o_ord, g, xa) in enumerate(zip(
-                    oi_from.tolist(), oi_order.tolist(),
-                    (oi_node * n_words + oi_code).tolist(),
-                    oi_xa.tolist(),
-                )):
-                    if g not in gids_a:
-                        continue
-                    dq0 = idle_g.get(g)
-                    if dq0 is None:
-                        dq0 = idle_g[g] = deque()
-                    dq0.append((f0, o_ord, n + nb + r, xa))
-        if cat_b.size:
-            # frozen pools hold at most two sandboxes; seeding them
-            # busy is exact even if idle or expired -- the loop's lazy
-            # transfer and pruning replay the same (time, tie, expiry)
-            e1, q1, s1 = slot1
-            e2, q2, s2 = slot2
-            gbs = g_sorted[d_start[cat_b]].tolist()
-            for p, g, ea, qa, sa, eb, qb, sb, fr in zip(
-                cat_b.tolist(), gbs,
-                e1[cat_b].tolist(), q1[cat_b].tolist(),
-                s1[cat_b].tolist(),
-                e2[cat_b].tolist(), q2[cat_b].tolist(),
-                s2[cat_b].tolist(), flag_rank_d[cat_b].tolist(),
-            ):
-                seed = [(e, q, s) for e, q, s in
-                        ((ea, qa, sa), (eb, qb, sb)) if s >= 0]
-                if seed:
-                    seed.sort()
-                    busy_g[g] = seed
-                parts.append(
-                    order[d_start[p] + fr:d_start[p] + d_len[p]]
-                )
-        k_sub = np.sort(np.concatenate(parts))
-        cold_arr[k_sub] = False
-        heappush, heappop = heapq.heappush, heapq.heappop
-        for k, t, g, sv, cs in zip(
-            k_sub.tolist(), ts[k_sub].tolist(), gid[k_sub].tolist(),
-            svc_req[k_sub].tolist(), cstart[k_sub].tolist(),
-        ):
-            bh = busy_g.get(g)
-            if bh and bh[0][0] <= t:
-                dq = idle_g.get(g)
-                if dq is None:
-                    dq = idle_g[g] = deque()
-                # completions transfer to the idle stack in heap order
-                while bh and bh[0][0] <= t:
-                    e, q, src = heappop(bh)
-                    dq.append((e, q, src, e + ttl))
-            dq = idle_g.get(g)
-            warm = False
-            if dq:
-                # expiries strictly precede this arrival's processing
-                while dq and dq[0][3] <= t:
-                    dq.popleft()
-                if dq:
-                    src = dq.pop()[2]  # LIFO: most recently idled
-                    reused_arr[src] = True
-                    reuse_src_arr[k] = src
-                    warm = True
-            if warm:
-                e = t + sv
-            else:
-                cold_arr[k] = True
-                e = cs + sv
-            end_new[k] = e
-            if bh is None:
-                bh = busy_g[g] = []
-            heappush(bh, (e, seq0 + k, k))
 
     def _invoke_loop(
         self,

@@ -438,9 +438,10 @@ def test_bulk_envelope_matrix(seed, ka, cv, mode, sched):
 
 
 @pytest.mark.parametrize("mode", BULK_MODES)
-def test_zero_ttl_fixed_keepalive_is_bulk_teardown(mode):
+def test_zero_ttl_fixed_keepalive_takes_the_bulk_commit(mode):
     """FixedKeepAlive(0) must behave exactly like NoKeepAlive -- and
-    still take the fast path (it routes to the teardown commit)."""
+    still take the fast path: TTL 0 goes through the one bulk commit as
+    its degenerate case (every start cold, no warm carry)."""
     ts, wids = make_load(5)
     make_kwargs = lambda: dict(  # noqa: E731
         n_nodes=3,
@@ -561,6 +562,58 @@ def test_completion_exactly_on_slab_last_arrival_is_warm():
     for edges in ([1], [2], [1, 2]):
         got = _run_boundary(FaaSCluster, ts, wids, edges)
         assert got == (ref_records, ref_clock, ref_node), edges
+
+
+def test_deep_pools_stay_on_the_bulk_path():
+    """One pool holding three sandboxes at once -- live inside a slab,
+    or carried across a chunk edge -- must stay vectorised, and a warm
+    reuse must take the latest-idled of them (LIFO)."""
+    # three overlapping cold starts end at 0.375 / 0.4375 / 0.5; the
+    # arrival at 1.0 must reuse the one idled at 0.5 (its expiry moves
+    # to 3.125), so at 2.484375 that sandbox is busy, the other two
+    # expired, and the arrival goes cold.  Reusing any other sandbox
+    # would leave the 0.5 one live (expiry 2.5) and make it warm.
+    ts = np.array([0.0, 0.0625, 0.125, 1.0, 2.46875, 2.484375])
+    wids = ["w0"] * 6
+    ttl = 2.0
+
+    def build(cls):
+        return cls(
+            _boundary_profiles(), n_nodes=1, node_memory_mb=8192.0,
+            keepalive=FixedKeepAlive(ttl),
+        )
+
+    def state(cluster):
+        node = cluster.nodes[0]
+        tail = getattr(cluster, "_tail", None)
+        carried_idle = 0 if tail is None else int(tail.idle_from.size)
+        return (
+            cluster.records, cluster.clock_s,
+            (node.used_memory_mb, node.busy_count,
+             node.idle_count + carried_idle),
+        )
+
+    # edges: one slab; 3 busy rows carried; 1 busy + 2 idle carried
+    for edges in ([], [3], [4], [3, 4]):
+        ref, vec = build(ObjectFaaSCluster), build(FaaSCluster)
+        lo = 0
+        for hi in list(edges) + [len(wids)]:
+            for t, w in zip(ts[lo:hi].tolist(), wids[lo:hi]):
+                ref.invoke(t, w)
+            vec.invoke_many(ts[lo:hi], wids[lo:hi])
+            assert vec._tail is not None and not vec._heap, (
+                f"bulk path did not engage for slab [{lo}:{hi}]"
+            )
+            if hi in (3, 4):
+                carried = vec._tail.ends.size + vec._tail.idle_from.size
+                assert carried >= 3, "chunk edge must carry a deep pool"
+            assert state(vec) == state(ref), (edges, hi)
+            lo = hi
+        assert [r.cold for r in ref.records] == [
+            True, True, True, False, False, True
+        ]
+        assert vec.drain() == ref.drain()
+        assert state(vec) == state(ref), edges
 
 
 def test_iter_trace_slabs_validation_and_coverage():

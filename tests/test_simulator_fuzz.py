@@ -93,8 +93,8 @@ REGRESSION_CONFIGS = [
     _cfg(seed=12, n_requests=400, horizon_s=4.0, scheduler="hash",
          keepalive="fixed", keepalive_ttl=1.0, node_memory_mb=8192.0,
          batch="chunked", chunk_rows=7),
-    # zero-TTL FixedKeepAlive must route to the teardown commit, not the
-    # keep-alive replay, under chunked submission
+    # zero-TTL FixedKeepAlive takes the one bulk commit as its
+    # degenerate case (no scan, no expiries) under chunked submission
     _cfg(seed=13, n_requests=200, keepalive="fixed", keepalive_ttl=0.0,
          service_time_cv=0.4, node_memory_mb=4096.0,
          batch="chunked", chunk_rows=64),
