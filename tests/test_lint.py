@@ -108,11 +108,6 @@ FIXTURES = [
         "def f(d):\n    return sorted(d.keys() | {1})\n",
     ),
     (
-        "DET006",
-        "def f(w, n):\n    return hash(w) % n\n",
-        "import zlib\n\ndef f(w, n):\n    return zlib.crc32(w.encode()) % n\n",
-    ),
-    (
         "CACHE001",
         "from repro.cache import fingerprint\n\n"
         "def stage(trace, mode, seed, cache):\n"
@@ -179,6 +174,11 @@ FIXTURES = [
         "    except:\n        return 2\n",
         "def f():\n    try:\n        return 1\n"
         "    except Exception:\n        return 2\n",
+    ),
+    (
+        "DET006",
+        "def f(w, n):\n    return hash(w) % n\n",
+        "import zlib\n\ndef f(w, n):\n    return zlib.crc32(w.encode()) % n\n",
     ),
 ]
 
