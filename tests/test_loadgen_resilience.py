@@ -1,5 +1,7 @@
 """Tests for the resilient replay engine: retries, breaker, checkpoints."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,31 @@ class _FlakyBackend:
             exc.retryable = self.retryable
             raise exc
         self.completed += 1
+
+    def drain(self):
+        return []
+
+
+class _KeyedAttemptBackend:
+    """Fails as a pure function of (request timestamp, attempt number).
+
+    The attempt number is the count of submissions seen for that
+    timestamp, and the verdict is a crc32 key of both, so any client
+    that submits the same requests the same number of times sees the
+    same faults: 30% retryable, 10% non-retryable.
+    """
+
+    def __init__(self):
+        self._attempts: dict[float, int] = {}
+
+    def invoke(self, timestamp_s, workload_id):
+        attempt = self._attempts.get(timestamp_s, 0) + 1
+        self._attempts[timestamp_s] = attempt
+        key = zlib.crc32(f"{timestamp_s!r}:{attempt}".encode()) % 10
+        if key < 4:
+            exc = RuntimeError("keyed fault")
+            exc.retryable = key > 0
+            raise exc
 
     def drain(self):
         return []
@@ -376,3 +403,38 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="checkpoint_every"):
             replay(make_trace(n=5), _DeadBackend(),
                    checkpoint_path="x.npz", checkpoint_every=0)
+
+
+class TestOneLedgerFromBothModes:
+    """``replay()`` and the load service decide each request's outcome
+    the same way: one shard, inline, gives the whole-trace ledger."""
+
+    def test_replay_and_service_ledgers_are_byte_equal(self, tmp_path):
+        from repro.loadgen.service import (
+            BreakerSpec,
+            ServiceConfig,
+            run_service,
+        )
+
+        trace = make_trace(n=400)
+        retry = RetryPolicy(max_attempts=3, base_delay_s=0.05,
+                            deadline_s=0.15, seed=3)
+        single = replay(trace, _KeyedAttemptBackend(), retry=retry,
+                        breaker=CircuitBreaker(failure_threshold=3,
+                                               reset_timeout_s=2.0))
+        service = run_service(
+            trace, _KeyedAttemptBackend, service_dir=tmp_path,
+            config=ServiceConfig(workers=0, max_shards=1), retry=retry,
+            breaker=BreakerSpec(failure_threshold=3, reset_timeout_s=2.0),
+        )
+        # the comparison is only as strong as the outcomes it covers:
+        # every outcome occurs, and sheds happen both at the breaker
+        # gate (0 attempts) and inside the retry loop
+        counts = single.outcome_counts()
+        assert all(counts[name] > 0 for name in OUTCOMES), counts
+        shed = single.outcomes == OUTCOMES.index("shed")
+        assert (single.attempts[shed] == 0).any()
+        assert (single.attempts[shed] > 0).any()
+        assert service.outcomes.tobytes() == single.outcomes.tobytes()
+        assert service.attempts.tobytes() == single.attempts.tobytes()
+        assert service.coverage.shed_breaker == counts["shed"]
