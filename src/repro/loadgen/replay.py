@@ -11,12 +11,15 @@ Two execution paths share one entry point:
   tuned for simulator throughput -- per-request type conversions are
   hoisted out of the loop;
 - the **resilient path** (any of ``retry`` / ``breaker`` /
-  ``checkpoint_path`` set) catches per-invocation failures, applies the
+  ``checkpoint_path`` set) hands each request to
+  :func:`~repro.loadgen.resilience.deliver`, which applies the
   :class:`~repro.loadgen.resilience.RetryPolicy` and
-  :class:`~repro.loadgen.resilience.CircuitBreaker`, records a
+  :class:`~repro.loadgen.resilience.CircuitBreaker` and returns a
   per-request outcome from the
-  :data:`~repro.loadgen.resilience.OUTCOMES` taxonomy, and periodically
-  checkpoints progress so a killed replay can resume.
+  :data:`~repro.loadgen.resilience.OUTCOMES` taxonomy; the path records
+  it and periodically checkpoints progress so a killed replay can
+  resume.  The load service (:mod:`repro.loadgen.service`) calls the
+  same function.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ import numpy as np
 
 from repro.loadgen.requests import RequestTrace
 from repro.loadgen.resilience import (
-    OUTCOME_CODES,
     OUTCOMES,
     CircuitBreaker,
     RetryPolicy,
+    deliver,
     load_checkpoint,
     save_checkpoint,
 )
@@ -320,61 +323,21 @@ def _replay_resilient(
         outcomes[:start] = done_outcomes
         attempts[:start] = done_attempts
 
-    code_ok = OUTCOME_CODES["ok"]
-    code_retried = OUTCOME_CODES["retried"]
-    code_error = OUTCOME_CODES["error"]
-    code_timeout = OUTCOME_CODES["timeout"]
-    code_shed = OUTCOME_CODES["shed"]
-    code_dropped = OUTCOME_CODES["dropped"]
-    max_attempts = retry.max_attempts if retry is not None else 1
+    def send(ts, wid, index, attempt, deadline_left_s):
+        backend.invoke(ts, wid)
+
     pace = np.isfinite(speed)
     t_start = time.perf_counter()  # repro: allow-wall-clock
 
     for i in range(start, n):
         ts = timestamps[i]
-        wid = workload_ids[i]
         if pace:
             # repro: allow-wall-clock (pacer: real time is the point)
             delay = t_start + ts / speed - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
-        if breaker is not None and not breaker.allow(ts):
-            outcomes[i] = code_shed
-            attempts[i] = 0
-        else:
-            attempt = 0
-            waited_s = 0.0
-            while True:
-                attempt += 1
-                try:
-                    backend.invoke(ts, wid)
-                except Exception as exc:
-                    if breaker is not None:
-                        breaker.record_failure(ts)
-                    if not getattr(exc, "retryable", True):
-                        outcome = code_dropped
-                        break
-                    if attempt >= max_attempts:
-                        outcome = code_error
-                        break
-                    backoff = retry.backoff_s(attempt, i)
-                    if (retry.deadline_s is not None
-                            and waited_s + backoff > retry.deadline_s):
-                        outcome = code_timeout
-                        break
-                    waited_s += backoff
-                    if pace and backoff > 0:
-                        time.sleep(backoff / speed)
-                    if breaker is not None and not breaker.allow(ts):
-                        outcome = code_shed
-                        break
-                else:
-                    if breaker is not None:
-                        breaker.record_success(ts)
-                    outcome = code_ok if attempt == 1 else code_retried
-                    break
-            outcomes[i] = outcome
-            attempts[i] = attempt
+        outcomes[i], attempts[i] = deliver(send, ts, workload_ids[i], i,
+                                           retry, breaker, speed)
         if runtimes is not None:
             drift.observe(runtimes[i], ts)
         if checkpoint_path is not None and (i + 1) % checkpoint_every == 0:

@@ -11,15 +11,21 @@ for making it misbehave on purpose):
   deterministic;
 - :data:`OUTCOMES` -- the per-request outcome taxonomy the resilient
   replay path records;
+- :func:`deliver` -- the one per-request delivery loop that applies
+  both policies and decides the outcome, shared by
+  :func:`repro.loadgen.replay.replay` and the load service;
 - checkpoint save/load -- periodic NPZ snapshots of replay progress so a
   killed replay resumes from the last completed offset.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +34,7 @@ __all__ = [
     "OUTCOME_CODES",
     "CircuitBreaker",
     "RetryPolicy",
+    "deliver",
     "load_checkpoint",
     "save_checkpoint",
 ]
@@ -42,6 +49,7 @@ __all__ = [
 #: dropped  -- failed with a non-retryable fault (no retry can help)
 OUTCOMES = ("ok", "retried", "error", "timeout", "shed", "dropped")
 OUTCOME_CODES = {name: np.uint8(i) for i, name in enumerate(OUTCOMES)}
+_OK, _RETRIED, _ERROR, _TIMEOUT, _SHED, _DROPPED = range(len(OUTCOMES))
 
 
 @dataclass(frozen=True)
@@ -166,6 +174,56 @@ class CircuitBreaker:
         if self.tracer is not None:
             kind = "breaker_" + state.replace("-", "_")
             self.tracer.emit(now_s, kind, -1, "")
+
+
+def deliver(send: Callable[..., object], ts: float, workload_id: str,
+            index: int, retry: RetryPolicy | None,
+            breaker: CircuitBreaker | None,
+            speed: float) -> tuple[int, int]:
+    """Deliver one request; returns ``(outcome code, attempts)``.
+
+    ``send(ts, workload_id, index, attempt, deadline_left_s)`` submits
+    one attempt and raises on failure; ``deadline_left_s`` is the
+    backoff budget still unspent (``None`` without a deadline).  An
+    exception whose ``retryable`` attribute is false ends the request
+    as ``dropped``; other failures are retried after the
+    :meth:`RetryPolicy.backoff_s` keyed on ``(attempt, index)`` until
+    attempts run out (``error``) or the next backoff would exceed the
+    deadline (``timeout``).  The breaker is consulted before the first attempt
+    (``shed`` with 0 attempts) and after every backoff, and is fed every
+    attempt's result, all at trace time ``ts``.  At finite ``speed`` the
+    backoff is slept, scaled by ``speed``.
+    """
+    if breaker is not None and not breaker.allow(ts):
+        return _SHED, 0
+    max_attempts = 1 if retry is None else retry.max_attempts
+    deadline_s = None if retry is None else retry.deadline_s
+    attempt = 0
+    waited_s = 0.0
+    while True:
+        attempt += 1
+        try:
+            send(ts, workload_id, index, attempt,
+                 None if deadline_s is None else deadline_s - waited_s)
+        except Exception as exc:
+            if breaker is not None:
+                breaker.record_failure(ts)
+            if not getattr(exc, "retryable", True):
+                return _DROPPED, attempt
+            if attempt >= max_attempts:
+                return _ERROR, attempt
+            backoff = retry.backoff_s(attempt, index)
+            if deadline_s is not None and waited_s + backoff > deadline_s:
+                return _TIMEOUT, attempt
+            waited_s += backoff
+            if backoff > 0 and math.isfinite(speed):
+                time.sleep(backoff / speed)
+            if breaker is not None and not breaker.allow(ts):
+                return _SHED, attempt
+        else:
+            if breaker is not None:
+                breaker.record_success(ts)
+            return (_OK if attempt == 1 else _RETRIED), attempt
 
 
 # ----------------------------------------------------------------------

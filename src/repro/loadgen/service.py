@@ -60,10 +60,10 @@ import numpy as np
 from repro.loadgen.replay import Backend, ReplayResult, _record_replay_telemetry
 from repro.loadgen.requests import RequestTrace
 from repro.loadgen.resilience import (
-    OUTCOME_CODES,
     OUTCOMES,
     CircuitBreaker,
     RetryPolicy,
+    deliver,
     load_checkpoint,
     save_checkpoint,
 )
@@ -85,6 +85,7 @@ __all__ = [
 #: Sentinel outcome code marking a ledger slot no shard has filled yet;
 #: reconciliation proves none survive.  Distinct from every real code.
 UNACCOUNTED = np.uint8(255)
+_SHED = OUTCOMES.index("shed")
 
 
 class ServiceError(RuntimeError):
@@ -393,11 +394,15 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
                ) -> dict[str, Any]:
     """Dispatch one shard's requests; returns its outcome ledger slice.
 
-    The per-request policy loop mirrors the single-process resilient
-    replay (same taxonomy, same trace-time-clocked breaker, same
-    ``(seed, index, attempt)``-keyed backoff) but schedules sends
-    open-loop from the shared service epoch and additionally records
-    dispatch lag and applies the overload admission bound.
+    Each request's outcome comes from
+    :func:`~repro.loadgen.resilience.deliver`, the function the
+    single-process resilient replay calls (same taxonomy, same
+    trace-time-clocked breaker, same ``(seed, index, attempt)``-keyed
+    backoff); the shard's ``send`` adds the keyed fault-plan errors and
+    the backend's ``invoke_at`` with the scheduled send time and the
+    remaining deadline.  Around it the shard loop schedules sends
+    open-loop from the shared service epoch, records dispatch lag and
+    applies the overload admission bound.
 
     ``clock`` is the wall-clock source for lag accounting and overload
     shedding; injecting a virtual clock makes the admission path
@@ -434,14 +439,20 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
              if fault_plan is not None else None)
     inject = (fault_plan is not None and fault_plan.error_rate > 0)
 
-    code_ok = OUTCOME_CODES["ok"]
-    code_retried = OUTCOME_CODES["retried"]
-    code_error = OUTCOME_CODES["error"]
-    code_timeout = OUTCOME_CODES["timeout"]
-    code_shed = OUTCOME_CODES["shed"]
-    code_dropped = OUTCOME_CODES["dropped"]
-    max_attempts = retry.max_attempts if retry is not None else 1
-    deadline_s = retry.deadline_s if retry is not None else None
+    invoke_at = getattr(backend, "invoke_at", None)
+    scheduled_wall = None
+
+    def send(ts, wid, i, attempt, deadline_left_s):
+        if inject and fault_plan.should_error(i, attempt):
+            raise ServiceInjectedError(
+                f"injected service fault for request {i}"
+            )
+        if invoke_at is None:
+            backend.invoke(ts, wid)
+        else:
+            # scheduled_wall is read at call time: the current request's
+            invoke_at(ts, wid, scheduled_wall_s=scheduled_wall,
+                      deadline_s=deadline_left_s)
 
     pace = np.isfinite(work.speed)
     speed = work.speed
@@ -449,18 +460,15 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
     max_lag_s = work.max_lag_s
     hb_every = work.heartbeat_every
     hb_slice = 0.5
-    invoke_at = getattr(backend, "invoke_at", None)
     shed_overload = 0
     shed_breaker = 0
 
     for j in range(start, n_shard):
         i = lo + j  # global request index: keys backoff + fault draws
         ts = timestamps[j]
-        wid = workload_ids[j]
         if heartbeat is not None and j % hb_every == 0:
             heartbeat(j)
         _maybe_trigger_crash(crash, i, work.service_dir)
-        scheduled_wall = None
         if pace:
             scheduled_wall = epoch + ts / speed
             _sleep_until(scheduled_wall, heartbeat, hb_slice)
@@ -471,60 +479,16 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
                     # overload: shed the admission explicitly instead of
                     # letting the schedule silently slip (coordinated
                     # omission) -- the ledger records it as `shed`
-                    outcomes[j] = code_shed
+                    outcomes[j] = _SHED
                     attempts[j] = 0
                     shed_overload += 1
                     continue
-        if breaker is not None and not breaker.allow(ts):
-            outcomes[j] = code_shed
-            attempts[j] = 0
+        code, n_attempts = deliver(send, ts, workload_ids[j], i, retry,
+                                   breaker, speed)
+        outcomes[j] = code
+        attempts[j] = n_attempts
+        if code == _SHED:  # overload sheds never reach deliver()
             shed_breaker += 1
-        else:
-            attempt = 0
-            waited_s = 0.0
-            while True:
-                attempt += 1
-                try:
-                    if inject and fault_plan.should_error(i, attempt):
-                        raise ServiceInjectedError(
-                            f"injected service fault for request {i}"
-                        )
-                    if invoke_at is not None:
-                        remaining = (None if deadline_s is None
-                                     else deadline_s - waited_s)
-                        invoke_at(ts, wid,
-                                  scheduled_wall_s=scheduled_wall,
-                                  deadline_s=remaining)
-                    else:
-                        backend.invoke(ts, wid)
-                except Exception as exc:
-                    if breaker is not None:
-                        breaker.record_failure(ts)
-                    if not getattr(exc, "retryable", True):
-                        outcome = code_dropped
-                        break
-                    if attempt >= max_attempts:
-                        outcome = code_error
-                        break
-                    backoff = retry.backoff_s(attempt, i)
-                    if (deadline_s is not None
-                            and waited_s + backoff > deadline_s):
-                        outcome = code_timeout
-                        break
-                    waited_s += backoff
-                    if pace and backoff > 0:
-                        time.sleep(backoff / speed)
-                    if breaker is not None and not breaker.allow(ts):
-                        outcome = code_shed
-                        shed_breaker += 1
-                        break
-                else:
-                    if breaker is not None:
-                        breaker.record_success(ts)
-                    outcome = code_ok if attempt == 1 else code_retried
-                    break
-            outcomes[j] = outcome
-            attempts[j] = attempt
         if (j + 1) % work.checkpoint_every == 0:
             save_checkpoint(ckpt, offset=j + 1, outcomes=outcomes,
                             attempts=attempts,
