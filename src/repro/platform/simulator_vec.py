@@ -357,15 +357,9 @@ def _group_stable(
     if n == 0:
         return np.empty(0, np.int64)
     shift = max(n - 1, 1).bit_length()
-    lmax = int(labels[labels.argmax()]) if n else 0
+    lmax = int(labels[labels.argmax()])
     if lmax.bit_length() + shift > 62:
         return np.argsort(labels, kind="stable")
-    if lmax.bit_length() + shift <= 31:
-        packed32 = np.sort(
-            (labels.astype(np.int32) << shift)
-            | np.arange(n, dtype=np.int32)
-        )
-        return (packed32 & ((1 << shift) - 1)).astype(np.int64)
     packed = np.sort((labels << shift) | np.arange(n, dtype=np.int64))
     return packed & ((1 << shift) - 1)
 

@@ -14,7 +14,9 @@ Properties pinned:
   across completed-ok, crashed, and dropped;
 - batched scheduler draws are stream-equal to sequential ones;
 - least-loaded picks equal ``np.argmin`` over busy counts (ties go to
-  the lowest index).
+  the lowest index);
+- the bulk path's packed grouping sort equals a stable argsort, on both
+  sides of its 62-bit packing limit.
 """
 
 import numpy as np
@@ -347,6 +349,55 @@ if HAVE_HYPOTHESIS:
     @given(busy=st.lists(st.integers(0, 4), min_size=1, max_size=16))
     def test_hypothesis_least_loaded_pick_is_argmin(busy):
         check_least_loaded_pick_is_argmin(busy)
+
+
+# ---------------------------------------------------------------------------
+# packed grouping sort == stable argsort
+# ---------------------------------------------------------------------------
+# Label vectors: small pools, ties, the empty and one-row
+# cases, labels that fill exactly 62 packed bits (the packed sort), and
+# labels one bit wider (the plain stable-argsort fallback).
+GROUP_LABELS = [
+    [],
+    [0],
+    [5],
+    [3, 1, 3, 0, 1, 3],
+    [0] * 9,
+    [2**58, 0, 2**58 + 1, 2**58, 7],       # 59 + 3 bits: packed
+    [2**59, 0, 2**59 + 1, 2**59, 7],       # 60 + 3 bits: fallback
+    [2**62, 1, 2**62, 0],                  # 63 + 2 bits: fallback
+    *(
+        np.random.default_rng(seed).integers(0, 1 + seed * 7, 1 + 37 * seed)
+        .tolist()
+        for seed in range(12)
+    ),
+]
+
+
+def check_group_stable_is_stable_argsort(labels):
+    from repro.platform.simulator_vec import _group_stable
+
+    arr = np.asarray(labels, dtype=np.int64)
+    got = _group_stable(arr)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.argsort(arr, kind="stable").tolist()
+
+
+@pytest.mark.parametrize("labels", GROUP_LABELS,
+                         ids=lambda v: f"n{len(v)}-max{max(v, default=0)}")
+def test_group_stable_is_stable_argsort(labels):
+    check_group_stable_is_stable_argsort(labels)
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.one_of(
+        st.lists(st.integers(0, 40), max_size=300),
+        st.lists(st.integers(0, 2**63 - 1), max_size=40),
+    ))
+    def test_hypothesis_group_stable_is_stable_argsort(labels):
+        check_group_stable_is_stable_argsort(labels)
 
 
 # ---------------------------------------------------------------------------
