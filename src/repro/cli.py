@@ -641,8 +641,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_simulate(args) -> int:
     import json
 
+    from repro.platform.cpu import CPU_POLICIES
     from repro.platform.shootout import (
-        CPU_POLICY_NAMES,
         KEEPALIVE_NAMES,
         SCHEDULER_NAMES,
         ShootoutCell,
@@ -669,7 +669,7 @@ def _cmd_simulate(args) -> int:
         else _names(args.schedulers, SCHEDULER_NAMES, "schedulers")
     )
     keepalives = _names(args.keepalives, KEEPALIVE_NAMES, "keepalives")
-    cpu_policies = _names(args.cpu_policies, CPU_POLICY_NAMES,
+    cpu_policies = _names(args.cpu_policies, tuple(CPU_POLICIES),
                           "cpu-policies")
     config = ShootoutConfig(
         seed=args.seed,

@@ -27,7 +27,8 @@ every other service-time modifier):
 
 Policies are frozen dataclasses so shootout cells embedding them can be
 content-fingerprinted (:func:`repro.cache.fingerprint` hashes public
-dataclass fields).
+dataclass fields).  :data:`CPU_POLICIES` names the built-in policies and
+:func:`make_cpu_policy` builds one by name.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 __all__ = [
+    "CPU_POLICIES",
     "CpuModel",
     "CpuPolicy",
     "FairShareCpu",
     "FifoCpu",
     "ShortestFirstCpu",
+    "make_cpu_policy",
 ]
 
 
@@ -220,3 +223,28 @@ class CpuModel:
             raise ValueError("cores must be positive")
         if self.quantum_s <= 0:
             raise ValueError("quantum_s must be positive")
+
+
+#: Name -> class of every built-in CPU policy, in the fixed order the
+#: shootout grid and the differential fuzzer enumerate them.
+CPU_POLICIES: dict[str, type[CpuPolicy]] = {
+    "fifo": FifoCpu,
+    "fair": FairShareCpu,
+    "stf": ShortestFirstCpu,
+}
+
+
+def make_cpu_policy(name: str, n_workloads: int) -> CpuPolicy:
+    """A fresh CPU policy by :data:`CPU_POLICIES` name.
+
+    ``fair`` weighs workloads ``w0 .. w{n_workloads-1}`` 1, 2, 3, 1, 2,
+    ... -- deterministic unequal weights, so the weighted fold is
+    actually exercised rather than its equal-weight degenerate case.
+    Raises ``KeyError`` on an unknown name.
+    """
+    cls = CPU_POLICIES[name]
+    if cls is FairShareCpu:
+        return FairShareCpu(weights={
+            f"w{i}": float(1 + i % 3) for i in range(n_workloads)
+        })
+    return cls()

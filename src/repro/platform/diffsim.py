@@ -31,12 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.platform.autoscaler import ReactiveAutoscaler
-from repro.platform.cpu import (
-    CpuModel,
-    FairShareCpu,
-    FifoCpu,
-    ShortestFirstCpu,
-)
+from repro.platform.cpu import CPU_POLICIES, CpuModel, make_cpu_policy
 from repro.platform.faults import CrashHook
 from repro.platform.keepalive import (
     FixedKeepAlive,
@@ -67,7 +62,6 @@ __all__ = [
 KEEPALIVES = ("none", "fixed", "histogram", "hybrid")
 SCHEDULERS = tuple(_SCHEDULER_CLASSES)
 BATCH_MODES = ("scalar", "bulk", "mixed", "chunked")
-CPU_POLICIES = ("fifo", "fair", "stf")
 
 #: Workload memory sizes the generator draws from (MiB).
 _MEMORY_CHOICES = (128.0, 256.0, 384.0, 512.0)
@@ -155,7 +149,7 @@ def random_config(rng: np.random.Generator) -> FuzzConfig:
         # uncontended paths stay covered too
         cores=int(rng.choice([0, 0, 1, 2, 4])),
         quantum=float(rng.choice([0.005, 0.02, 0.1])),
-        cpu_policy=str(rng.choice(CPU_POLICIES)),
+        cpu_policy=str(rng.choice(tuple(CPU_POLICIES))),
     )
 
 
@@ -216,15 +210,7 @@ def _build_kwargs(cfg: FuzzConfig, tracer: PlatformTracer | None
         tracer=tracer,
     )
     if cfg.cores > 0:
-        policy = {
-            "fifo": FifoCpu,
-            # deterministic unequal weights so the weighted-fair fold is
-            # actually exercised, not just the equal-weight degenerate
-            "fair": lambda: FairShareCpu(weights={
-                f"w{i}": float(1 + i % 3) for i in range(cfg.n_workloads)
-            }),
-            "stf": ShortestFirstCpu,
-        }[cfg.cpu_policy]()
+        policy = make_cpu_policy(cfg.cpu_policy, cfg.n_workloads)
         kwargs["cpu"] = CpuModel(
             cores=cfg.cores, quantum_s=cfg.quantum, policy=policy
         )

@@ -34,13 +34,7 @@ import numpy as np
 
 from repro.cache import ContentCache, tool_fingerprint
 from repro.parallel import map_shards, plan_shards
-from repro.platform.cpu import (
-    CpuModel,
-    CpuPolicy,
-    FairShareCpu,
-    FifoCpu,
-    ShortestFirstCpu,
-)
+from repro.platform.cpu import CPU_POLICIES, CpuModel, make_cpu_policy
 from repro.platform.keepalive import (
     FixedKeepAlive,
     HistogramKeepAlive,
@@ -54,7 +48,6 @@ from repro.telemetry import registry as _telemetry
 
 __all__ = [
     "KEEPALIVE_NAMES",
-    "CPU_POLICY_NAMES",
     "SCHEDULER_NAMES",
     "ShootoutCell",
     "ShootoutConfig",
@@ -68,7 +61,6 @@ __all__ = [
 
 SCHEDULER_NAMES = tuple(SCHEDULERS)
 KEEPALIVE_NAMES = ("none", "fixed", "histogram", "hybrid")
-CPU_POLICY_NAMES = ("fifo", "fair", "stf")
 
 #: Table columns, in output order (the stable CSV schema).
 TABLE_FIELDS = (
@@ -101,7 +93,7 @@ class ShootoutConfig:
     queue_timeout_s: float | None = None
     schedulers: tuple[str, ...] = SCHEDULER_NAMES
     keepalives: tuple[str, ...] = KEEPALIVE_NAMES
-    cpu_policies: tuple[str, ...] = CPU_POLICY_NAMES
+    cpu_policies: tuple[str, ...] = tuple(CPU_POLICIES)
 
     def __post_init__(self) -> None:
         if self.n_requests <= 0 or self.n_workloads <= 0:
@@ -121,7 +113,7 @@ class ShootoutConfig:
             if name not in KEEPALIVE_NAMES:
                 raise ValueError(f"unknown keepalive {name!r}")
         for name in self.cpu_policies:
-            if name not in CPU_POLICY_NAMES:
+            if name not in CPU_POLICIES:
                 raise ValueError(f"unknown cpu policy {name!r}")
 
 
@@ -197,17 +189,6 @@ def _make_keepalive(name: str, ttl_s: float) -> Any:
     }[name]()
 
 
-def _make_cpu_policy(name: str, n_workloads: int) -> CpuPolicy:
-    if name == "fifo":
-        return FifoCpu()
-    if name == "fair":
-        # deterministic unequal weights: the weighted fold is the point
-        return FairShareCpu(weights={
-            f"w{i}": float(1 + i % 3) for i in range(n_workloads)
-        })
-    return ShortestFirstCpu()
-
-
 def run_cell(config: ShootoutConfig, cell: ShootoutCell) -> dict[str, Any]:
     """Run one grid cell and reduce it to a flat metrics row.
 
@@ -226,7 +207,7 @@ def run_cell(config: ShootoutConfig, cell: ShootoutCell) -> dict[str, Any]:
         cpu=CpuModel(
             cores=config.cores,
             quantum_s=config.quantum_s,
-            policy=_make_cpu_policy(cell.cpu_policy, config.n_workloads),
+            policy=make_cpu_policy(cell.cpu_policy, config.n_workloads),
         ),
         seed=config.seed,
     )

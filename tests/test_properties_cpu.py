@@ -22,10 +22,12 @@ import numpy as np
 import pytest
 
 from repro.platform.cpu import (
+    CPU_POLICIES,
     CpuModel,
     FairShareCpu,
     FifoCpu,
     ShortestFirstCpu,
+    make_cpu_policy,
 )
 from repro.platform.keepalive import HybridHistogramKeepAlive
 
@@ -183,6 +185,19 @@ def test_cpu_model_validation():
         CpuModel(cores=2, quantum_s=0.0)
     model = CpuModel(cores=2)
     assert isinstance(model.policy, FifoCpu)
+
+
+def test_cpu_policy_registry():
+    # the order is part of the contract: the fuzzer's seeded draws and
+    # the shootout grid enumerate it
+    assert tuple(CPU_POLICIES) == ("fifo", "fair", "stf")
+    assert make_cpu_policy("fifo", 4) == FifoCpu()
+    assert make_cpu_policy("stf", 4) == ShortestFirstCpu()
+    assert make_cpu_policy("fair", 4) == FairShareCpu(
+        weights={"w0": 1.0, "w1": 2.0, "w2": 3.0, "w3": 1.0}
+    )
+    with pytest.raises(KeyError):
+        make_cpu_policy("round-robin", 4)
 
 
 def test_stf_short_tasks_slip_through():
