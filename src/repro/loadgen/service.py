@@ -87,6 +87,10 @@ __all__ = [
 UNACCOUNTED = np.uint8(255)
 _SHED = OUTCOMES.index("shed")
 
+#: Longest the supervisor waits on worker pipes before re-checking
+#: liveness, heartbeat timeouts and the service deadline.
+_POLL_INTERVAL_S = 0.02
+
 
 class ServiceError(RuntimeError):
     """The service could not complete the schedule (config error, shard
@@ -198,13 +202,11 @@ class ServiceConfig:
     speed: float = math.inf
     max_lag_s: float | None = None
     max_shards: int = DEFAULT_MAX_SHARDS
-    min_per_shard: int = 1
     checkpoint_every: int = 1000
     heartbeat_every: int = 256
     heartbeat_timeout_s: float = 10.0
     max_restarts_per_shard: int = 3
     service_timeout_s: float = 300.0
-    poll_interval_s: float = 0.02
     collect_records: bool = True
     start_method: str | None = None
 
@@ -670,7 +672,7 @@ def _supervise(work: _ShardWork, config: ServiceConfig,
             assign(now)
             conn_owner = {st.conn: wid for wid, st in workers.items()}
             ready = mp_connection.wait(list(conn_owner),
-                                       timeout=config.poll_interval_s)
+                                       timeout=_POLL_INTERVAL_S)
             # repro: allow-wall-clock (supervision liveness clock)
             now = time.time()
             for conn in ready:
@@ -892,8 +894,7 @@ def run_service(
     config = config or ServiceConfig()
     service_dir = Path(service_dir)
     _prepare_service_dir(service_dir, resume)
-    bounds = plan_shards(trace.n_requests, max_shards=config.max_shards,
-                         min_per_shard=config.min_per_shard)
+    bounds = plan_shards(trace.n_requests, max_shards=config.max_shards)
     if not bounds:
         raise ServiceError("trace contains no requests to schedule")
     # Small head start so paced workers come up before their first send
