@@ -218,28 +218,17 @@ def _replay_keepalive(name, ttl_s):
     }[name]()
 
 
-def _sim_backend_factory(spec_path, nodes, node_memory, scheduler_name,
-                         keepalive_name, keepalive_ttl, seed,
-                         error_rate):
-    """Build one fresh simulator backend inside a service worker.
+def _sim_backend(spec, profile, *, nodes, node_memory, scheduler_name,
+                 keepalive_name, keepalive_ttl, seed):
+    """The ``repro replay`` simulator backend for ``spec``.
 
-    Module-level (and driven through ``functools.partial`` over plain
-    values) so the factory pickles cleanly into spawned processes.
+    With a fault ``profile``, the cluster gets its simulator-side hook
+    and is wrapped in a :class:`~repro.platform.FaultyBackend` for the
+    client-side faults.
     """
-    from repro.core import ExperimentSpec
-    from repro.platform import (
-        FaaSCluster,
-        FaultProfile,
-        FaultyBackend,
-        profiles_from_spec,
-    )
+    from repro.platform import FaaSCluster, FaultyBackend, profiles_from_spec
     from repro.platform.schedulers import make_scheduler
 
-    spec = ExperimentSpec.load(spec_path)
-    profile = None
-    if error_rate is not None:
-        profile = FaultProfile()
-        profile.error_rate = error_rate
     backend = FaaSCluster(
         profiles_from_spec(spec),
         n_nodes=nodes,
@@ -252,6 +241,29 @@ def _sim_backend_factory(spec_path, nodes, node_memory, scheduler_name,
     if profile is not None:
         backend = FaultyBackend(backend, profile)
     return backend
+
+
+def _sim_backend_factory(spec_path, nodes, node_memory, scheduler_name,
+                         keepalive_name, keepalive_ttl, seed,
+                         error_rate):
+    """Build one fresh simulator backend inside a service worker.
+
+    Module-level (and driven through ``functools.partial`` over plain
+    values) so the factory pickles cleanly into spawned processes.
+    """
+    from repro.core import ExperimentSpec
+    from repro.platform import FaultProfile
+
+    profile = None
+    if error_rate is not None:
+        profile = FaultProfile()
+        profile.error_rate = error_rate
+    return _sim_backend(
+        ExperimentSpec.load(spec_path), profile, nodes=nodes,
+        node_memory=node_memory, scheduler_name=scheduler_name,
+        keepalive_name=keepalive_name, keepalive_ttl=keepalive_ttl,
+        seed=seed,
+    )
 
 
 def _http_backend_factory(base_url, timeout_s):
@@ -359,14 +371,7 @@ def _cmd_replay(args) -> int:
         generate_request_trace,
         replay,
     )
-    from repro.platform import (
-        FaaSCluster,
-        FaultProfile,
-        FaultyBackend,
-        profiles_from_spec,
-        summarize,
-    )
-    from repro.platform.schedulers import make_scheduler
+    from repro.platform import FaultProfile, summarize
 
     spec = ExperimentSpec.load(args.spec)
     registry, drift = _setup_telemetry(args, spec)
@@ -400,17 +405,11 @@ def _cmd_replay(args) -> int:
         profile = profile or FaultProfile()
         profile.error_rate = args.error_rate
 
-    backend = FaaSCluster(
-        profiles_from_spec(spec),
-        n_nodes=args.nodes,
-        node_memory_mb=args.node_memory,
-        scheduler=make_scheduler(args.scheduler, args.seed),
-        keepalive=_replay_keepalive(args.keepalive, args.keepalive_ttl),
-        fault_hook=(profile.simulator_hook()
-                    if profile is not None else None),
+    backend = _sim_backend(
+        spec, profile, nodes=args.nodes, node_memory=args.node_memory,
+        scheduler_name=args.scheduler, keepalive_name=args.keepalive,
+        keepalive_ttl=args.keepalive_ttl, seed=args.seed,
     )
-    if profile is not None:
-        backend = FaultyBackend(backend, profile)
 
     breaker = CircuitBreaker(
         failure_threshold=args.breaker_threshold,
