@@ -14,6 +14,8 @@ from repro.loadgen import (
     replay,
     save_checkpoint,
 )
+from repro.loadgen import resilience
+from repro.loadgen.resilience import deliver
 from repro.platform import (
     FaultProfile,
     FaultyBackend,
@@ -438,3 +440,91 @@ class TestOneLedgerFromBothModes:
         assert service.outcomes.tobytes() == single.outcomes.tobytes()
         assert service.attempts.tobytes() == single.attempts.tobytes()
         assert service.coverage.shed_breaker == counts["shed"]
+
+
+class TestDeliver:
+    """The per-request delivery loop, driven directly."""
+
+    @staticmethod
+    def _send_failing(n_failures, calls, retryable=True):
+        def send(ts, wid, index, attempt, deadline_left_s):
+            calls.append((ts, wid, index, attempt, deadline_left_s))
+            if attempt <= n_failures:
+                exc = RuntimeError("down")
+                exc.retryable = retryable
+                raise exc
+        return send
+
+    def test_send_sees_attempts_and_remaining_deadline(self):
+        calls = []
+        retry = RetryPolicy(max_attempts=5, base_delay_s=1.0,
+                            multiplier=2.0, jitter=0.0, deadline_s=10.0)
+        code, attempts = deliver(self._send_failing(2, calls), 4.5, "w",
+                                 17, retry, None, float("inf"))
+        assert (OUTCOMES[code], attempts) == ("retried", 3)
+        # backoffs of 1 s then 2 s come out of the 10 s budget
+        assert calls == [(4.5, "w", 17, 1, 10.0), (4.5, "w", 17, 2, 9.0),
+                         (4.5, "w", 17, 3, 7.0)]
+
+    def test_without_a_policy_one_failure_is_final(self):
+        calls = []
+        code, attempts = deliver(self._send_failing(1, calls), 0.0, "w",
+                                 0, None, None, float("inf"))
+        assert (OUTCOMES[code], attempts) == ("error", 1)
+        assert calls == [(0.0, "w", 0, 1, None)]
+
+    def test_non_retryable_failure_feeds_the_breaker(self):
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0)
+        send = self._send_failing(9, [], retryable=False)
+        code, attempts = deliver(send, 1.0, "w", 0,
+                                 RetryPolicy(max_attempts=3), breaker,
+                                 float("inf"))
+        assert (OUTCOMES[code], attempts) == ("dropped", 1)
+        assert breaker.state == "open"
+        code, attempts = deliver(send, 2.0, "w", 1, None, breaker,
+                                 float("inf"))
+        assert (OUTCOMES[code], attempts) == ("shed", 0)
+
+    def test_backoff_is_slept_only_when_paced(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(resilience.time, "sleep", slept.append)
+        retry = RetryPolicy(max_attempts=2, base_delay_s=1.0, jitter=0.0)
+        for speed in (float("inf"), 4.0):
+            code, _ = deliver(self._send_failing(1, []), 0.0, "w", 0,
+                              retry, None, speed)
+            assert OUTCOMES[code] == "retried"
+        assert slept == [0.25]
+
+
+class TestValidationEdges:
+    def test_policy_and_breaker_arguments(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RetryPolicy(base_delay_s=-1.0)
+        with pytest.raises(ValueError, match="multiplier"):
+            RetryPolicy(multiplier=0.5)
+        with pytest.raises(ValueError, match="half_open_probes"):
+            CircuitBreaker(half_open_probes=0)
+
+    def test_foreign_or_future_checkpoint_rejected(self, tmp_path):
+        foreign = tmp_path / "foreign.npz"
+        np.savez(foreign, x=np.zeros(1))
+        with pytest.raises(ValueError, match="not a replay checkpoint"):
+            load_checkpoint(foreign, (1, 0.0, 0.0))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, offset=1, outcomes=np.zeros(1, np.uint8),
+                        attempts=np.ones(1, np.int32),
+                        trace_fingerprint=(2, 0.0, 1.0))
+        with np.load(path) as data:
+            arrays = dict(data)
+        np.savez(tmp_path / "future.npz", **{**arrays,
+                                             "version": np.int64(99)})
+        with pytest.raises(ValueError, match="version 99"):
+            load_checkpoint(tmp_path / "future.npz", (2, 0.0, 1.0))
+        np.savez(tmp_path / "offset.npz", **{**arrays,
+                                             "offset": np.int64(3)})
+        with pytest.raises(ValueError, match="corrupt offset"):
+            load_checkpoint(tmp_path / "offset.npz", (2, 0.0, 1.0))
+        np.savez(tmp_path / "short.npz", **{**arrays,
+                                            "offset": np.int64(2)})
+        with pytest.raises(ValueError, match="do not match"):
+            load_checkpoint(tmp_path / "short.npz", (2, 0.0, 1.0))
