@@ -16,7 +16,9 @@ Properties pinned:
 - least-loaded picks equal ``np.argmin`` over busy counts (ties go to
   the lowest index);
 - the bulk path's packed grouping sort equals a stable argsort, on both
-  sides of its 62-bit packing limit.
+  sides of its 62-bit packing limit;
+- a drain leaves the clock on the latest keep-alive deadline ever set,
+  even one a later, shorter TTL superseded.
 """
 
 import numpy as np
@@ -460,3 +462,40 @@ def test_lru_tie_breaks_on_first_scanned(cls):
     cluster.drain()
     evicted = [e.workload_id for e in tracer.of_kind("sandbox_evicted")]
     assert evicted == ["a", "b"]  # insertion order of the idle dict
+
+
+# ---------------------------------------------------------------------------
+# keep-alive expiry events (deterministic scenarios, both engines)
+# ---------------------------------------------------------------------------
+class _ScriptedKeepAlive:
+    """Keep-alive whose successive ``ttl_s`` calls return a fixed script."""
+
+    def __init__(self, ttls):
+        self._ttls = iter(ttls)
+
+    def ttl_s(self, workload_id):
+        del workload_id
+        return next(self._ttls)
+
+    def observe_idle_gap(self, workload_id, gap_s):
+        del workload_id, gap_s
+
+
+@pytest.mark.parametrize("cls", [ObjectFaaSCluster, FaaSCluster])
+def test_drain_clock_covers_a_superseded_deadline(cls):
+    """One sandbox idles three times with TTLs 10, 100, 20 s.  Only the
+    last deadline expires it, but the drained clock still ends on the
+    latest deadline ever set (the 100 s one)."""
+    tracer = PlatformTracer()
+    cluster = cls(
+        {"w": WorkloadProfile("w", runtime_ms=100.0, memory_mb=128.0)},
+        n_nodes=1,
+        keepalive=_ScriptedKeepAlive([10.0, 100.0, 20.0]),
+        tracer=tracer,
+    )
+    for t in (0.0, 1.0, 2.0):
+        cluster.invoke(t, "w")
+    records = cluster.drain()
+    assert cluster.clock_s == records[1].end_s + 100.0
+    expired = tracer.of_kind("sandbox_expired")
+    assert [e.time_s for e in expired] == [records[2].end_s + 20.0]
