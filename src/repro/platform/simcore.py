@@ -31,7 +31,8 @@ if TYPE_CHECKING:
 
 __all__ = ["Node", "WorkloadProfile", "default_cold_start_s"]
 
-#: The horizon a drain fires the remaining event calendar up to.
+#: The horizon a drain fires the remaining event calendar up to, and a
+#: sandbox's ``queued_at`` when no expiry event is queued for it.
 _INF = float("inf")
 
 
@@ -91,18 +92,30 @@ def default_cold_start_s(profile: WorkloadProfile) -> float:
 class _Sandbox:
     """One warm (or busy) execution environment of the scalar loop.
 
-    ``expire_generation`` is the guard against stale lifecycle events: it
-    is bumped on every reuse, eviction, crash, and idle transition, and a
-    queued keep-alive expiry only fires when the generation it captured
-    still matches -- so an expiry scheduled before a crash (or reuse) of
-    the same sandbox can never double-reclaim its memory.
+    ``expire_at``/``expire_seq`` are the pending keep-alive deadline: the
+    ``(time, sequence)`` heap key it got when the sandbox last idled.
+    ``expire_seq == -1`` means no pending expiry (busy, or never idled);
+    reuse and eviction clear it.
+
+    A sandbox keeps at most one live expiry event in the heap, keyed
+    ``(queued_at, queued_seq)`` (``inf``/-1: none).  An idle transition
+    pushes an event only when nothing is queued or the queued event is
+    later than the new deadline (a learning policy's TTL shrank, which
+    supersedes it).  When the live event fires it expires the sandbox if
+    it *is* the pending deadline, re-pushes itself at the pending
+    deadline if the sandbox has idled again since, and is dropped
+    otherwise; superseded events are dropped too.  Real expiries thus
+    fire at exactly the heap key a per-completion event would have had.
     """
 
     sandbox_id: int
     workload_id: str
     memory_mb: float
     idle_since: float = 0.0
-    expire_generation: int = 0
+    expire_at: float = 0.0
+    expire_seq: int = -1
+    queued_at: float = _INF
+    queued_seq: int = -1
 
 
 @dataclass
@@ -294,6 +307,8 @@ class _ScalarCluster:
         # plain integers: the bulk path advances both by whole slabs
         self._seq_n = 0
         self._sandbox_n = 0
+        #: Latest keep-alive deadline ever set; a drain's final clock.
+        self._last_deadline = 0.0
 
     # ------------------------------------------------------------------
     # Backend protocol
@@ -329,6 +344,10 @@ class _ScalarCluster:
         """Fire the whole event calendar, then drop (or refuse) what is
         still queued."""
         self._advance(_INF)
+        # superseded and re-armed deadlines never fire, yet the clock
+        # ends on the latest one, as if every deadline were an event
+        if self._last_deadline > self._clock:
+            self._clock = self._last_deadline
         stuck = sum(len(n.pending) for n in self.nodes)
         if stuck:
             if self.queue_timeout_s is not None:
@@ -379,7 +398,7 @@ class _ScalarCluster:
             # reclaim idle sandboxes and hand any backlog to a survivor
             for stack in list(victim.idle.values()):
                 for sandbox in list(stack):
-                    sandbox.expire_generation += 1
+                    sandbox.expire_seq = -1
                     victim.remove_idle(sandbox)
                     self._trace("sandbox_evicted", victim.node_id,
                                 sandbox.workload_id)
@@ -400,29 +419,23 @@ class _ScalarCluster:
 
     def _advance(self, until: float) -> None:
         """Fire every queued event due at or before ``until``, in heap
-        order; the clock ends on the latest event time fired.
+        order; the clock ends on the last (latest) event time fired.
 
-        Callers moving on to a later time set the clock themselves.  A
-        drain passes ``until=inf`` and fires the whole calendar in one
-        call, which leaves the clock where one call per distinct event
-        time would have.
+        Callers moving on to a later time set the clock themselves.
+        Every push is at or after the clock, so pops never go back in
+        time.
         """
         heap = self._heap
         heappop = heapq.heappop
-        latest = -_INF
         while heap and heap[0][0] <= until:
-            when, _, kind, payload = heappop(heap)
+            when, seq, kind, payload = heappop(heap)
             self._clock = when
-            if when > latest:
-                latest = when
             if kind == "end":
                 self._on_completion(when, *payload)
             elif kind == "crash":
                 self._on_crash(when, *payload)
             else:  # "expire"
-                self._on_expiry(when, *payload)
-        if latest > self._clock:
-            self._clock = latest
+                self._on_expiry(seq, *payload)
 
     def _try_start(self, node: Node, arrival_s: float,
                    workload_id: str) -> bool:
@@ -434,7 +447,7 @@ class _ScalarCluster:
             self.keepalive.observe_idle_gap(
                 workload_id, now - sandbox.idle_since
             )
-            sandbox.expire_generation += 1  # cancels the queued expiry
+            sandbox.expire_seq = -1  # cancels the pending expiry
             if self.tracer is not None:
                 self._trace("sandbox_reused", node.node_id, workload_id)
             start = now
@@ -448,7 +461,7 @@ class _ScalarCluster:
                 victim = node.lru_idle()
                 if victim is None:
                     return False
-                victim.expire_generation += 1
+                victim.expire_seq = -1
                 node.remove_idle(victim)
                 if self.tracer is not None:
                     self._trace("sandbox_evicted", node.node_id,
@@ -513,14 +526,22 @@ class _ScalarCluster:
         if self.cpu is not None:
             node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
         sandbox.idle_since = now
-        sandbox.expire_generation += 1
         node.push_idle(sandbox)
         ttl = self.keepalive.ttl_s(sandbox.workload_id)
         if ttl <= 0:
             node.remove_idle(sandbox)
         else:
-            self._push(now + ttl, "expire",
-                       (node, sandbox, sandbox.expire_generation))
+            # the deadline takes the sequence number its own event would
+            # have, so every other event keeps its key
+            when = now + ttl
+            seq = self._seq_n
+            self._seq_n = seq + 1
+            sandbox.expire_at = when
+            sandbox.expire_seq = seq
+            if when > self._last_deadline:
+                self._last_deadline = when
+            if when < sandbox.queued_at:
+                self._queue_expiry(node, sandbox, when, seq)
         if node.pending:
             self._serve_pending(node)
 
@@ -531,7 +552,6 @@ class _ScalarCluster:
         node.busy_count -= 1
         if self.cpu is not None:
             node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
-        sandbox.expire_generation += 1
         node.used_memory_mb -= sandbox.memory_mb
         if self.tracer is not None:
             self._trace("sandbox_crashed", node.node_id,
@@ -542,11 +562,23 @@ class _ScalarCluster:
             )
         self._serve_pending(node)
 
-    def _on_expiry(self, now: float, node: Node, sandbox: _Sandbox,
-                   generation: int) -> None:
-        del now
-        if sandbox.expire_generation != generation:
-            return  # sandbox was reused or evicted in the meantime
+    def _queue_expiry(self, node: Node, sandbox: _Sandbox, when: float,
+                      seq: int) -> None:
+        """Push ``(when, seq)`` as the sandbox's one live expiry event."""
+        sandbox.queued_at = when
+        sandbox.queued_seq = seq
+        heapq.heappush(self._heap, (when, seq, "expire", (node, sandbox)))
+
+    def _on_expiry(self, seq: int, node: Node, sandbox: _Sandbox) -> None:
+        if seq != sandbox.queued_seq:
+            return  # superseded by an earlier deadline
+        pending = sandbox.expire_seq
+        if seq != pending:
+            if pending < 0:  # busy, evicted or crashed since
+                sandbox.queued_at, sandbox.queued_seq = _INF, -1
+            else:  # idled again since: re-arm at the pending deadline
+                self._queue_expiry(node, sandbox, sandbox.expire_at, pending)
+            return
         node.remove_idle(sandbox)
         if self.tracer is not None:
             self._trace("sandbox_expired", node.node_id,

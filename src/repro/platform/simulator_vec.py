@@ -1266,35 +1266,27 @@ class FaaSCluster(_ScalarCluster):
             return
         # Warm idle sandboxes: rebuild each node's per-workload stacks
         # in the scalar loop's dict-key creation order (lru_idle
-        # tie-breaks on it), each stack in append order, and requeue the
-        # pending expiries under their original sequence numbers.  The
-        # generation handshake (sandbox at 1, event carrying 1) makes
-        # any later reuse or eviction stale the queued expiry, exactly
-        # like the scalar bookkeeping.
+        # tie-breaks on it), each stack in append order.  Each one's
+        # pending deadline is also its one queued expiry event, under
+        # its original sequence number, so a later reuse, eviction or
+        # re-idle handles it exactly like the scalar bookkeeping.
         mo = np.lexsort((
             tail.idle_order, tail.idle_from,
             tail.idle_key_tie, tail.idle_key_time, tail.idle_node,
         ))
         for j in mo.tolist():
             node = self.nodes[int(tail.idle_node[j])]
-            wid = words[int(tail.idle_codes[j])]
             sandbox = _Sandbox(
                 sandbox_id=-1 - j,
-                workload_id=wid,
+                workload_id=words[int(tail.idle_codes[j])],
                 memory_mb=float(tail.idle_mem[j]),
                 idle_since=float(tail.idle_from[j]),
-                expire_generation=1,
+                expire_at=float(tail.idle_xa[j]),
+                expire_seq=int(tail.idle_seq[j]),
             )
             node.push_idle(sandbox)
-            heapq.heappush(
-                heap,
-                (
-                    float(tail.idle_xa[j]),
-                    int(tail.idle_seq[j]),
-                    "expire",
-                    (node, sandbox, 1),
-                ),
-            )
+            self._queue_expiry(node, sandbox, sandbox.expire_at,
+                               sandbox.expire_seq)
 
     def _finalize_tail(self) -> None:
         """Drain-time shortcut: apply everything the carry still owes in

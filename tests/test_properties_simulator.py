@@ -18,7 +18,8 @@ Properties pinned:
 - the bulk path's packed grouping sort equals a stable argsort, on both
   sides of its 62-bit packing limit;
 - a drain leaves the clock on the latest keep-alive deadline ever set,
-  even one a later, shorter TTL superseded.
+  even one a later, shorter TTL superseded;
+- a sandbox has at most one queued keep-alive expiry event.
 """
 
 import numpy as np
@@ -499,3 +500,19 @@ def test_drain_clock_covers_a_superseded_deadline(cls):
     assert cluster.clock_s == records[1].end_s + 100.0
     expired = tracer.of_kind("sandbox_expired")
     assert [e.time_s for e in expired] == [records[2].end_s + 20.0]
+
+
+@pytest.mark.parametrize("cls", [ObjectFaaSCluster, FaaSCluster])
+def test_at_most_one_queued_expiry_per_sandbox(cls):
+    """A sandbox reused before its deadline keeps one queued expiry
+    event, not one per completion."""
+    cluster = cls(
+        {"w": WorkloadProfile("w", runtime_ms=10.0, memory_mb=128.0)},
+        n_nodes=1,
+        keepalive=FixedKeepAlive(600.0),
+    )
+    for i in range(1000):
+        cluster.invoke(float(i), "w")
+        queued = sum(1 for e in cluster._heap if e[2] == "expire")
+        assert queued <= cluster._sandbox_n, (i, queued)
+    assert len(cluster.drain()) == 1000
