@@ -1,6 +1,5 @@
 """Tests for the FaaS cluster simulator, keep-alive, schedulers, metrics."""
 
-import json
 import os
 import subprocess
 import sys
@@ -241,18 +240,35 @@ class TestSchedulers:
         with pytest.raises(ValueError):
             HashAffinityScheduler(spill_threshold=0)
 
-    def test_hash_affinity_placement_independent_of_hash_seed(self):
-        # the builtin hash() of a str is salted per process; placement
-        # must not be, or cached shootout cells depend on which process
-        # computed them first
-        code = (
+    @pytest.mark.parametrize("code", [
+        pytest.param(
             "import json\n"
             "from repro.platform.shootout import ShootoutCell, "
             "ShootoutConfig, run_cell\n"
             "row = run_cell(ShootoutConfig(seed=0), "
             "ShootoutCell('hash', 'fixed', 'fifo'))\n"
-            "print(json.dumps(row, sort_keys=True))\n"
-        )
+            "print(json.dumps(row, sort_keys=True))\n",
+            id="shootout-cell",
+        ),
+        # one pinned fuzz tuple through the scalar loop: the histogram
+        # TTLs shrink, so superseded and re-armed expiry events fire
+        pytest.param(
+            "from repro.cache import fingerprint\n"
+            "from repro.platform import FaaSCluster, diffsim\n"
+            "cfg = diffsim.FuzzConfig(seed=5, n_requests=200, "
+            "n_workloads=3, horizon_s=60.0, n_nodes=2, "
+            "node_memory_mb=1024.0, keepalive='histogram', "
+            "scheduler='hash', crash_rate=0.1, service_time_cv=0.0, "
+            "queue_timeout_s=None, autoscale=False, track_memory=True, "
+            "quantize=False, batch='scalar')\n"
+            "print(fingerprint(diffsim.run_once(FaaSCluster, cfg)))\n",
+            id="diffsim-tuple",
+        ),
+    ])
+    def test_hash_affinity_placement_independent_of_hash_seed(self, code):
+        # the builtin hash() of a str is salted per process; placement
+        # and the simulator's output must not be, or cached shootout
+        # cells depend on which process computed them first
         src = str(Path(repro.__file__).resolve().parents[1])
         rows = []
         for hash_seed in ("1", "2"):
@@ -264,7 +280,7 @@ class TestSchedulers:
                 [sys.executable, "-c", code], env=env, capture_output=True,
                 text=True, timeout=300, check=True,
             )
-            rows.append(json.loads(proc.stdout))
+            rows.append(proc.stdout)
         assert rows[0] == rows[1]
 
 
