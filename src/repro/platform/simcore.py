@@ -307,7 +307,7 @@ class _ScalarCluster:
         # plain integers: the bulk path advances both by whole slabs
         self._seq_n = 0
         self._sandbox_n = 0
-        #: Latest keep-alive deadline ever set; a drain's final clock.
+        #: Latest keep-alive deadline ever set; a drain ends no earlier.
         self._last_deadline = 0.0
 
     # ------------------------------------------------------------------
@@ -344,8 +344,8 @@ class _ScalarCluster:
         """Fire the whole event calendar, then drop (or refuse) what is
         still queued."""
         self._advance(_INF)
-        # superseded and re-armed deadlines never fire, yet the clock
-        # ends on the latest one, as if every deadline were an event
+        # a deadline replaced before its event was queued never fires,
+        # yet the clock ends on the latest one set, as if all had fired
         if self._last_deadline > self._clock:
             self._clock = self._last_deadline
         stuck = sum(len(n.pending) for n in self.nodes)
