@@ -248,7 +248,7 @@ class TestSchedulers:
             "row = run_cell(ShootoutConfig(seed=0), "
             "ShootoutCell('hash', 'fixed', 'fifo'))\n"
             "print(json.dumps(row, sort_keys=True))\n",
-            id="shootout-cell",
+            id="shootout",
         ),
         # one pinned fuzz tuple through the scalar loop: the histogram
         # TTLs shrink, so superseded and re-armed expiry events fire
@@ -262,7 +262,7 @@ class TestSchedulers:
             "queue_timeout_s=None, autoscale=False, track_memory=True, "
             "quantize=False, batch='scalar')\n"
             "print(fingerprint(diffsim.run_once(FaaSCluster, cfg)))\n",
-            id="diffsim-tuple",
+            id="diffsim",
         ),
     ])
     def test_hash_affinity_placement_independent_of_hash_seed(self, code):
