@@ -265,3 +265,106 @@ class TestReplay:
                               records=[full, "opaque-record"])
         np.testing.assert_allclose(result.latencies_ms(), [100.0])
         assert result.cold_start_fraction() == 1.0
+
+
+def _mixed_trace(n=600, n_workloads=6, horizon_s=120.0, seed=7):
+    """Seeded request trace over several workloads in random order, so
+    contiguous slices of it meet the workloads in different orders."""
+    rng = np.random.default_rng(seed)
+    ts = np.sort(rng.uniform(0.0, horizon_s, n))
+    wids = np.array([f"w{k}" for k in rng.integers(0, n_workloads, n)])
+    return RequestTrace(ts, wids, np.array(["f"] * n), np.full(n, 50.0),
+                        np.array(["x"] * n))
+
+
+def _mixed_cluster(cls):
+    from repro.platform import (
+        FixedKeepAlive,
+        LeastLoadedScheduler,
+        WorkloadProfile,
+    )
+
+    profiles = {
+        f"w{k}": WorkloadProfile(f"w{k}", runtime_ms=40.0 + 90.0 * k,
+                                 memory_mb=128.0 * (1 + k % 3))
+        for k in range(6)
+    }
+    return cls(profiles, n_nodes=3, node_memory_mb=1024.0,
+               scheduler=LeastLoadedScheduler(),
+               keepalive=FixedKeepAlive(20.0))
+
+
+def _shard_cluster():
+    from repro.platform import FaaSCluster
+
+    return _mixed_cluster(FaaSCluster)
+
+
+class TestOneRecordSet:
+    """Every path that produces a run's records -- the columnar cluster,
+    the object cluster, the sharded service, a fault decorator -- yields
+    the same rows and the same summary."""
+
+    def test_columnar_and_object_clusters_summarise_alike(self):
+        from repro.platform import (
+            FaaSCluster,
+            ObjectFaaSCluster,
+            summarize,
+            summarize_columns,
+        )
+
+        trace = _mixed_trace()
+        cluster = _mixed_cluster(FaaSCluster)
+        vec = replay(trace, cluster).records
+        ref = replay(trace, _mixed_cluster(ObjectFaaSCluster)).records
+        assert len(vec) == trace.n_requests
+        assert list(vec) == list(ref)
+        summary = summarize(vec)
+        assert summary == summarize(ref)
+        assert summary == summarize_columns(cluster.record_columns())
+        assert 0.0 < summary["cold_fraction"] < 1.0
+
+    def test_service_shards_match_per_shard_replays(self, tmp_path):
+        from repro.loadgen.service import ServiceConfig, run_service
+        from repro.platform import summarize
+
+        trace = _mixed_trace()
+        result = run_service(
+            trace, _shard_cluster, service_dir=tmp_path / "svc",
+            config=ServiceConfig(workers=0, max_shards=3),
+        )
+        assert len(result.shard_bounds) == 3
+        expected = []
+        first_seen = []
+        for lo, hi in result.shard_bounds:
+            part = RequestTrace(
+                trace.timestamps_s[lo:hi], trace.workload_ids[lo:hi],
+                trace.function_ids[lo:hi], trace.runtimes_ms[lo:hi],
+                trace.families[lo:hi],
+            )
+            rows = list(replay(part, _shard_cluster()).records)
+            first_seen.append(tuple(dict.fromkeys(
+                r.workload_id for r in rows)))
+            expected.extend(rows)
+        # each shard meets the workloads in its own order, so merging
+        # the shards' records has to reconcile their vocabularies
+        assert len(set(first_seen)) > 1
+        assert len(result.records) == len(expected)
+        assert list(result.records) == expected
+        assert summarize(result.records) == summarize(expected)
+
+    def test_faulty_backend_spikes_survive_replay(self):
+        from repro.platform import FaaSCluster, FaultProfile, FaultyBackend
+
+        trace = _mixed_trace()
+        bare = list(replay(trace, _mixed_cluster(FaaSCluster)).records)
+        profile = FaultProfile(latency_spike_rate=1.0,
+                               latency_spike_ms=300.0)
+        faulty = FaultyBackend(_mixed_cluster(FaaSCluster), profile)
+        spiked = list(replay(trace, faulty).records)
+        assert faulty.injected["spike"] == trace.n_requests
+        assert len(spiked) == len(bare)
+        for got, base in zip(spiked, bare):
+            assert got.end_s == base.end_s + profile.latency_spike_ms / 1e3
+            assert (got.workload_id, got.arrival_s, got.start_s) == (
+                base.workload_id, base.arrival_s, base.start_s)
