@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -41,6 +42,7 @@ from repro.loadgen.resilience import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.platform.metrics import RecordList
 from repro.telemetry import registry as _telemetry
 
 __all__ = ["Backend", "ReplayResult", "replay"]
@@ -116,13 +118,38 @@ def _record_replay_telemetry(reg, trace: RequestTrace,
 
 
 class Backend(Protocol):
-    """What the replayer needs from a FaaS system."""
+    """What the replayer needs from a FaaS system.
+
+    A backend may also define ``drain_columns()``, returning its records
+    as :class:`~repro.platform.metrics.RecordColumns` (the array-native
+    simulator does).  The replayer then drains columns instead of
+    calling :meth:`drain` and hands out a
+    :class:`~repro.platform.metrics.RecordList` view over them.  Like
+    ``invoke_many``, it is looked up on the backend's type, so a
+    decorator that only forwards attribute access keeps its own
+    :meth:`drain`.
+    """
 
     def invoke(self, timestamp_s: float, workload_id: str) -> None:
         """Submit one request arriving at ``timestamp_s``."""
 
     def drain(self) -> list:
         """Finish all outstanding work and return per-request records."""
+
+
+def _drain_records(backend: Backend) -> Sequence:
+    """Finish ``backend``'s work and return its records: a
+    :class:`~repro.platform.metrics.RecordList` over ``drain_columns()``
+    when the backend's type defines it, else ``drain()``'s list as is.
+
+    Looked up on the type, not the instance: a decorator that forwards
+    attribute access (``FaultyBackend.__getattr__``) must not let the
+    columns bypass its own ``drain()``, which rewrites spiked records.
+    """
+    drain_columns = getattr(type(backend), "drain_columns", None)
+    if drain_columns is not None:
+        return RecordList(drain_columns(backend))
+    return backend.drain()
 
 
 @dataclass
@@ -137,22 +164,31 @@ class ReplayResult:
 
     n_requests: int
     wall_clock_s: float
-    records: list
+    records: Sequence
     outcomes: np.ndarray | None = field(default=None, repr=False)
     attempts: np.ndarray | None = field(default=None, repr=False)
 
     def latencies_ms(self) -> np.ndarray:
         """End-to-end latency per request, for records exposing one."""
-        vals = [r.latency_ms for r in self.records if hasattr(r, "latency_ms")]
-        if not vals:
+        records = self.records
+        if isinstance(records, RecordList):
+            vals = records.columns.latency_ms
+        else:
+            vals = np.array([r.latency_ms for r in records
+                             if hasattr(r, "latency_ms")])
+        if not vals.size:
             raise ValueError("backend records carry no latencies")
-        return np.array(vals)
+        return vals
 
     def cold_start_fraction(self) -> float:
-        flags = [r.cold for r in self.records if hasattr(r, "cold")]
-        if not flags:
+        records = self.records
+        if isinstance(records, RecordList):
+            flags = records.columns.cold
+        else:
+            flags = np.array([r.cold for r in records if hasattr(r, "cold")])
+        if not flags.size:
             raise ValueError("backend records carry no cold-start flags")
-        return float(np.mean(flags))
+        return float(flags.mean())
 
     def outcome_counts(self) -> dict[str, int]:
         """Requests per outcome; values sum to ``n_requests``."""
@@ -283,7 +319,7 @@ def replay(
             drift.observe_many(trace.runtimes_ms, trace.timestamps_s)
     if drift is not None:
         drift.flush()
-    records = backend.drain()
+    records = _drain_records(backend)
     result = ReplayResult(
         n_requests=trace.n_requests,
         wall_clock_s=time.perf_counter() - t_start,  # repro: allow-wall-clock
@@ -350,7 +386,7 @@ def _replay_resilient(
                         attempts=attempts, trace_fingerprint=fingerprint)
     if drift is not None:
         drift.flush()
-    records = backend.drain()
+    records = _drain_records(backend)
     return ReplayResult(
         n_requests=n,
         wall_clock_s=time.perf_counter() - t_start,  # repro: allow-wall-clock

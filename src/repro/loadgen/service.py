@@ -51,13 +51,19 @@ import signal
 import time
 import traceback
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.loadgen.replay import Backend, ReplayResult, _record_replay_telemetry
+from repro.loadgen.replay import (
+    Backend,
+    ReplayResult,
+    _drain_records,
+    _record_replay_telemetry,
+)
 from repro.loadgen.requests import RequestTrace
 from repro.loadgen.resilience import (
     OUTCOMES,
@@ -68,6 +74,7 @@ from repro.loadgen.resilience import (
     save_checkpoint,
 )
 from repro.parallel import DEFAULT_MAX_SHARDS, plan_shards
+from repro.platform.metrics import RecordColumns, RecordList
 from repro.telemetry import registry as _telemetry
 
 __all__ = [
@@ -303,7 +310,7 @@ class ServiceResult:
     outcomes: np.ndarray = field(repr=False)
     attempts: np.ndarray = field(repr=False)
     lag_ms: np.ndarray = field(repr=False)
-    records: list = field(repr=False)
+    records: Sequence = field(repr=False)
     coverage: CoverageReport = field(repr=False)
     shard_bounds: list[tuple[int, int]] = field(repr=False)
 
@@ -500,7 +507,7 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
     save_checkpoint(ckpt, offset=n_shard, outcomes=outcomes,
                     attempts=attempts, trace_fingerprint=fingerprint,
                     shard=shard_fp)
-    records = backend.drain() if work.collect_records else []
+    records = _drain_records(backend) if work.collect_records else []
     return {
         "shard": shard,
         "outcomes": outcomes,
@@ -740,12 +747,17 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
                results: dict[int, dict[str, Any]],
                stats: dict[str, int], n_workers: int,
                wall_clock_s: float, pace: bool) -> ServiceResult:
-    """Merge per-shard ledgers in shard order and prove coverage."""
+    """Merge per-shard ledgers in shard order and prove coverage.
+
+    Shard records are merged as columns (:meth:`RecordColumns.concat`)
+    when every shard shipped a :class:`RecordList`, else chained as
+    lists.
+    """
     n = trace.n_requests
     outcomes = np.full(n, UNACCOUNTED, dtype=np.uint8)
     attempts = np.zeros(n, dtype=np.int32)
     lag_ms = np.zeros(n, dtype=np.float64)
-    records: list = []
+    parts: list[Sequence] = []
     per_shard: list[dict[str, int]] = []
     shed_overload = 0
     shed_breaker = 0
@@ -759,7 +771,7 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
             outcomes[lo:hi] = payload["outcomes"]
             attempts[lo:hi] = payload["attempts"]
             lag_ms[lo:hi] = payload["lag_ms"]
-            records.extend(payload["records"])
+            parts.append(payload["records"])
             shed_overload += payload["shed_overload"]
             shed_breaker += payload["shed_breaker"]
         per_shard.append({
@@ -767,6 +779,11 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
             "n_requests": hi - lo,
             "resumed": int(payload["resumed"]) if payload else 0,
         })
+    records: Sequence
+    if parts and all(isinstance(p, RecordList) for p in parts):
+        records = RecordList(RecordColumns.concat([p.columns for p in parts]))
+    else:
+        records = [r for part in parts for r in part]
     unaccounted = np.flatnonzero(outcomes == UNACCOUNTED)
     accounted = partition_ok and unaccounted.size == 0
     counts = np.bincount(outcomes[outcomes != UNACCOUNTED],

@@ -40,6 +40,8 @@ from repro.platform.http_backend import (
 from repro.platform.live import LiveBackend
 from repro.platform.metrics import (
     InvocationRecord,
+    RecordColumns,
+    RecordList,
     breaker_uptime,
     cpu_utilization,
     dispatch_lag_summary,
@@ -74,7 +76,6 @@ from repro.platform.simulator import (
     FaaSCluster,
     Node,
     ObjectFaaSCluster,
-    RecordColumns,
     WorkloadProfile,
     default_cold_start_s,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "RandomScheduler",
     "ReactiveAutoscaler",
     "RecordColumns",
+    "RecordList",
     "SandboxCrashFault",
     "ShootoutCell",
     "ShootoutConfig",

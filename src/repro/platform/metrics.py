@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Any, overload
 
 import numpy as np
+import numpy.typing as npt
 
-if TYPE_CHECKING:
-    from repro.platform.simulator_vec import RecordColumns
+from repro.telemetry import registry as _telemetry
 
 __all__ = [
     "InvocationRecord",
+    "RecordColumns",
+    "RecordList",
     "breaker_uptime",
     "cpu_utilization",
     "dispatch_lag_summary",
@@ -68,60 +71,244 @@ class InvocationRecord:
         return (self.end_s - self.start_s) * 1e3
 
 
-def summarize(records: list[InvocationRecord]) -> dict:
-    """Aggregate a run's records into the usual serving metrics."""
-    if not records:
-        raise ValueError("no records to summarise")
-    arrival = np.array([r.arrival_s for r in records])
-    start = np.array([r.start_s for r in records])
-    end = np.array([r.end_s for r in records])
-    return _summary(
-        latency_ms=(end - arrival) * 1e3,
-        queueing_ms=(start - arrival) * 1e3,
-        cold=np.array([r.cold for r in records]),
-        ok=np.array([getattr(r, "ok", True) for r in records]),
-        nodes=np.array([r.node for r in records]),
-    )
+# ----------------------------------------------------------------------
+# columnar records
+# ----------------------------------------------------------------------
+def _materialise(
+    words: Sequence[str],
+    codes: npt.NDArray[np.int32],
+    node: npt.NDArray[np.int32],
+    arrival_s: npt.NDArray[np.float64],
+    start_s: npt.NDArray[np.float64],
+    end_s: npt.NDArray[np.float64],
+    cold: npt.NDArray[np.bool_],
+    ok: npt.NDArray[np.bool_],
+    preemptions: npt.NDArray[np.int32],
+) -> list[InvocationRecord]:
+    """One ``InvocationRecord`` per row of the given column slices.
+
+    Each column crosses into Python in one ``tolist`` pass, which yields
+    exactly the record's field types (``int``, ``float``, ``bool``), so
+    no row touches a NumPy scalar.  With telemetry on, the rows built
+    are counted in ``platform_records_materialised_total``.
+    """
+    reg = _telemetry.active()
+    if reg is not None:
+        reg.counter(
+            "platform_records_materialised_total",
+            "InvocationRecord objects built from columnar records",
+        ).inc(int(codes.size))
+    return list(map(
+        InvocationRecord,
+        [words[c] for c in codes.tolist()],
+        node.tolist(), arrival_s.tolist(), start_s.tolist(),
+        end_s.tolist(), cold.tolist(), ok.tolist(), preemptions.tolist(),
+    ))
+
+
+@dataclass(frozen=True)
+class RecordColumns:
+    """Struct-of-arrays view of a run's invocation records.
+
+    The columnar equivalent of ``list[InvocationRecord]``: row ``i`` of
+    every array is record ``i``, in the same order the scalar loop
+    appends records.  ``workload_codes`` indexes into ``vocabulary``
+    (first-appearance order).  Arrays are defensive copies -- safe to
+    keep after the cluster keeps running.
+    """
+
+    workload_codes: npt.NDArray[np.int32]
+    vocabulary: tuple[str, ...]
+    node: npt.NDArray[np.int32]
+    arrival_s: npt.NDArray[np.float64]
+    start_s: npt.NDArray[np.float64]
+    end_s: npt.NDArray[np.float64]
+    cold: npt.NDArray[np.bool_]
+    ok: npt.NDArray[np.bool_]
+    preemptions: npt.NDArray[np.int32]
+
+    @classmethod
+    def from_records(cls, records: Iterable[Any]) -> RecordColumns:
+        """Columns holding the given records' fields, row for row.
+
+        Takes ``InvocationRecord``-like objects; ``ok`` defaults to True
+        and ``preemptions`` to 0 for records without those fields.  The
+        vocabulary is the workload ids in first-appearance order.
+        """
+        rows = list(records)
+        vocab: dict[str, int] = {}
+        return cls(
+            workload_codes=np.array(
+                [vocab.setdefault(r.workload_id, len(vocab)) for r in rows],
+                np.int32,
+            ),
+            vocabulary=tuple(vocab),
+            node=np.array([r.node for r in rows], np.int32),
+            arrival_s=np.array([r.arrival_s for r in rows], np.float64),
+            start_s=np.array([r.start_s for r in rows], np.float64),
+            end_s=np.array([r.end_s for r in rows], np.float64),
+            cold=np.array([r.cold for r in rows], np.bool_),
+            ok=np.array([getattr(r, "ok", True) for r in rows], np.bool_),
+            preemptions=np.array(
+                [getattr(r, "preemptions", 0) for r in rows], np.int32
+            ),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence[RecordColumns]) -> RecordColumns:
+        """The parts' rows, in order, as one set of columns.
+
+        The vocabularies merge in first-appearance order (part by part)
+        and each part's codes are remapped onto the merged vocabulary.
+        """
+        if not parts:
+            return cls.from_records(())
+        index: dict[str, int] = {}
+        codes = []
+        for part in parts:
+            remap = np.array(
+                [index.setdefault(w, len(index)) for w in part.vocabulary],
+                np.int32,
+            )
+            codes.append(remap[part.workload_codes])
+
+        def cat(name: str) -> Any:
+            return np.concatenate([getattr(p, name) for p in parts])
+
+        return cls(
+            workload_codes=np.concatenate(codes),
+            vocabulary=tuple(index),
+            node=cat("node"),
+            arrival_s=cat("arrival_s"),
+            start_s=cat("start_s"),
+            end_s=cat("end_s"),
+            cold=cat("cold"),
+            ok=cat("ok"),
+            preemptions=cat("preemptions"),
+        )
+
+    def __len__(self) -> int:
+        return int(self.arrival_s.size)
+
+    @property
+    def latency_ms(self) -> npt.NDArray[np.float64]:
+        return (self.end_s - self.arrival_s) * 1e3
+
+    @property
+    def queueing_ms(self) -> npt.NDArray[np.float64]:
+        return (self.start_s - self.arrival_s) * 1e3
+
+    @property
+    def service_ms(self) -> npt.NDArray[np.float64]:
+        return (self.end_s - self.start_s) * 1e3
+
+    def workload_ids(self) -> list[str]:
+        words = self.vocabulary
+        return [words[c] for c in self.workload_codes.tolist()]
+
+    def to_records(self) -> list[InvocationRecord]:
+        """Materialise fresh ``InvocationRecord`` objects (one per row)."""
+        return _materialise(
+            self.vocabulary, self.workload_codes, self.node,
+            self.arrival_s, self.start_s, self.end_s, self.cold, self.ok,
+            self.preemptions,
+        )
+
+
+class RecordList(Sequence[InvocationRecord]):
+    """Read-only sequence of ``InvocationRecord`` over one
+    :class:`RecordColumns`.
+
+    ``len`` reads the columns.  The first index or iteration
+    materialises every row once and caches the list, so later reads
+    return the same objects.  ``==`` compares row by row with any
+    sequence, and pickling ships only the columns.
+    """
+
+    __slots__ = ("columns", "_rows")
+
+    def __init__(self, columns: RecordColumns) -> None:
+        self.columns = columns
+        self._rows: list[InvocationRecord] | None = None
+
+    def _materialised(self) -> list[InvocationRecord]:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self.columns.to_records()
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    @overload
+    def __getitem__(self, index: int) -> InvocationRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[InvocationRecord]: ...
+
+    def __getitem__(
+        self, index: int | slice
+    ) -> InvocationRecord | list[InvocationRecord]:
+        return self._materialised()[index]
+
+    def __iter__(self) -> Iterator[InvocationRecord]:
+        return iter(self._materialised())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    def __reduce__(self) -> tuple[type[RecordList], tuple[RecordColumns]]:
+        return (RecordList, (self.columns,))
+
+
+def _as_columns(records: Any) -> RecordColumns:
+    """Any record form -- columns, a :class:`RecordList`, or a sequence
+    of ``InvocationRecord``-like objects -- as :class:`RecordColumns`."""
+    if isinstance(records, RecordColumns):
+        return records
+    if isinstance(records, RecordList):
+        return records.columns
+    return RecordColumns.from_records(records)
+
+
+def summarize(records: Sequence[InvocationRecord]) -> dict:
+    """Aggregate a run's records into the usual serving metrics.
+
+    Reads a :class:`RecordList`'s columns directly; any other sequence
+    of records is first turned into columns
+    (:meth:`RecordColumns.from_records`), so every form goes through the
+    one reduction in :func:`summarize_columns`.
+    """
+    return summarize_columns(_as_columns(records))
 
 
 def summarize_columns(columns: RecordColumns) -> dict:
-    """Columnar :func:`summarize`: identical output, no record objects.
+    """The serving metrics of a run's records, computed on columns.
 
-    Takes the :class:`~repro.platform.simulator_vec.RecordColumns` a
-    cluster's ``drain_columns()`` / ``record_columns()`` returns and
-    computes the same summary dict as :func:`summarize` does from the
-    materialised record list, byte for byte: both build the same float64
-    arrays (``(end - arrival) * 1e3`` is one IEEE operation per row
-    either way) and hand them to one shared reduction.
+    Takes the :class:`RecordColumns` a cluster's ``drain_columns()`` /
+    ``record_columns()`` returns; :func:`summarize` hands every other
+    record form here, so the summary of one run is the same dict
+    whichever form its records came in.
     """
     if not len(columns):
         raise ValueError("no records to summarise")
-    return _summary(
-        latency_ms=columns.latency_ms,
-        queueing_ms=columns.queueing_ms,
-        cold=columns.cold,
-        ok=columns.ok,
-        nodes=columns.node,
-    )
-
-
-def _summary(*, latency_ms: np.ndarray, queueing_ms: np.ndarray,
-             cold: np.ndarray, ok: np.ndarray, nodes: np.ndarray) -> dict:
-    """The reduction behind :func:`summarize` and
-    :func:`summarize_columns`: one array per record field in, the
-    summary dict out."""
-    node_ids, node_counts = np.unique(nodes, return_counts=True)
+    latency_ms = columns.latency_ms
+    node_ids, node_counts = np.unique(columns.node, return_counts=True)
     return {
         "n_invocations": int(latency_ms.size),
-        "ok_fraction": float(ok.mean()),
-        "cold_fraction": float(cold.mean()),
+        "ok_fraction": float(columns.ok.mean()),
+        "cold_fraction": float(columns.cold.mean()),
         "latency_ms": {
             "p50": float(np.percentile(latency_ms, 50)),
             "p90": float(np.percentile(latency_ms, 90)),
             "p99": float(np.percentile(latency_ms, 99)),
             "mean": float(latency_ms.mean()),
         },
-        "queueing_ms_mean": float(queueing_ms.mean()),
+        "queueing_ms_mean": float(columns.queueing_ms.mean()),
         "per_node_invocations": dict(
             zip(node_ids.tolist(), node_counts.tolist())
         ),
@@ -270,37 +457,27 @@ def cpu_utilization(
 ) -> dict:
     """Time-averaged CPU utilisation from a run's invocation records.
 
-    ``records`` is either a :class:`RecordColumns` or a
-    ``list[InvocationRecord]`` -- both yield the same float64 arrays,
-    so the result is identical across engines.  Busy core-time is the
-    total *wall-clock* occupancy (start to end, dilation included);
-    capacity is ``cores * n_nodes`` over the run's makespan (first
-    arrival to last completion).  Under oversubscription the ratio
-    exceeds 1.0 -- invocations hold run-queue slots beyond the physical
-    cores -- so read it as demand pressure, not physical core busy
-    time.  ``preemptions_per_invocation`` summarises how often the CPU
-    model preempted work (0 when no model was configured).
+    ``records`` is a :class:`RecordColumns` or any sequence of
+    ``InvocationRecord`` (a :class:`RecordList` included) -- all yield
+    the same float64 arrays, so the result is identical across engines.
+    Busy core-time is the total *wall-clock* occupancy (start to end,
+    dilation included); capacity is ``cores * n_nodes`` over the run's
+    makespan (first arrival to last completion).  Under
+    oversubscription the ratio exceeds 1.0 -- invocations hold
+    run-queue slots beyond the physical cores -- so read it as demand
+    pressure, not physical core busy time.
+    ``preemptions_per_invocation`` summarises how often the CPU model
+    preempted work (0 when no model was configured).
     """
     if cores <= 0 or n_nodes <= 0:
         raise ValueError("cores and n_nodes must be positive")
-    if isinstance(records, list):
-        if not records:
-            raise ValueError("no records")
-        start = np.array([r.start_s for r in records], np.float64)
-        end = np.array([r.end_s for r in records], np.float64)
-        arrival = np.array([r.arrival_s for r in records], np.float64)
-        preempt = np.array(
-            [getattr(r, "preemptions", 0) for r in records], np.int64
-        )
-    else:
-        if not len(records):
-            raise ValueError("no records")
-        start = np.asarray(records.start_s, np.float64)
-        end = np.asarray(records.end_s, np.float64)
-        arrival = np.asarray(records.arrival_s, np.float64)
-        preempt = np.asarray(records.preemptions, np.int64)
+    columns = _as_columns(records)
+    if not len(columns):
+        raise ValueError("no records")
+    start, end = columns.start_s, columns.end_s
+    preempt = columns.preemptions.astype(np.int64)
     busy_core_s = float(np.sum(end - start))
-    makespan_s = float(end.max() - arrival.min())
+    makespan_s = float(end.max() - columns.arrival_s.min())
     capacity_s = cores * n_nodes * makespan_s
     return {
         "busy_core_s": busy_core_s,

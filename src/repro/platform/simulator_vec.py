@@ -60,7 +60,11 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.platform.keepalive import FixedKeepAlive, NoKeepAlive
-from repro.platform.metrics import InvocationRecord
+from repro.platform.metrics import (
+    InvocationRecord,
+    RecordColumns,
+    _materialise,
+)
 from repro.platform.schedulers import (
     HashAffinityScheduler,
     LeastLoadedScheduler,
@@ -124,80 +128,6 @@ _PURE_SINGLE_NODE_SCHEDULERS = (
 # ----------------------------------------------------------------------
 # columnar record storage
 # ----------------------------------------------------------------------
-def _materialise(
-    words: Sequence[str],
-    codes: npt.NDArray[np.int32],
-    node: npt.NDArray[np.int32],
-    arrival_s: npt.NDArray[np.float64],
-    start_s: npt.NDArray[np.float64],
-    end_s: npt.NDArray[np.float64],
-    cold: npt.NDArray[np.bool_],
-    ok: npt.NDArray[np.bool_],
-    preemptions: npt.NDArray[np.int32],
-) -> list[InvocationRecord]:
-    """One ``InvocationRecord`` per row of the given column slices.
-
-    Each column crosses into Python in one ``tolist`` pass, which yields
-    exactly the record's field types (``int``, ``float``, ``bool``), so
-    no row touches a NumPy scalar.
-    """
-    return list(map(
-        InvocationRecord,
-        [words[c] for c in codes.tolist()],
-        node.tolist(), arrival_s.tolist(), start_s.tolist(),
-        end_s.tolist(), cold.tolist(), ok.tolist(), preemptions.tolist(),
-    ))
-
-
-@dataclass(frozen=True)
-class RecordColumns:
-    """Struct-of-arrays view of a run's invocation records.
-
-    The columnar equivalent of ``list[InvocationRecord]``: row ``i`` of
-    every array is record ``i``, in the same order the scalar loop
-    appends records.  ``workload_codes`` indexes into ``vocabulary``
-    (first-appearance order).  Arrays are defensive copies -- safe to
-    keep after the cluster keeps running.
-    """
-
-    workload_codes: npt.NDArray[np.int32]
-    vocabulary: tuple[str, ...]
-    node: npt.NDArray[np.int32]
-    arrival_s: npt.NDArray[np.float64]
-    start_s: npt.NDArray[np.float64]
-    end_s: npt.NDArray[np.float64]
-    cold: npt.NDArray[np.bool_]
-    ok: npt.NDArray[np.bool_]
-    preemptions: npt.NDArray[np.int32]
-
-    def __len__(self) -> int:
-        return int(self.arrival_s.size)
-
-    @property
-    def latency_ms(self) -> npt.NDArray[np.float64]:
-        return (self.end_s - self.arrival_s) * 1e3
-
-    @property
-    def queueing_ms(self) -> npt.NDArray[np.float64]:
-        return (self.start_s - self.arrival_s) * 1e3
-
-    @property
-    def service_ms(self) -> npt.NDArray[np.float64]:
-        return (self.end_s - self.start_s) * 1e3
-
-    def workload_ids(self) -> list[str]:
-        words = self.vocabulary
-        return [words[c] for c in self.workload_codes.tolist()]
-
-    def to_records(self) -> list[InvocationRecord]:
-        """Materialise fresh ``InvocationRecord`` objects (one per row)."""
-        return _materialise(
-            self.vocabulary, self.workload_codes, self.node,
-            self.arrival_s, self.start_s, self.end_s, self.cold, self.ok,
-            self.preemptions,
-        )
-
-
 class _RecordStore:
     """Growable struct-of-arrays record buffer with a string vocabulary."""
 

@@ -368,3 +368,38 @@ class TestOneRecordSet:
             assert got.end_s == base.end_s + profile.latency_spike_ms / 1e3
             assert (got.workload_id, got.arrival_s, got.start_s) == (
                 base.workload_id, base.arrival_s, base.start_s)
+
+    def test_replay_and_summary_materialise_no_records(self):
+        from repro.platform import FaaSCluster, summarize
+        from repro.telemetry import MetricsRegistry, use
+
+        trace = _mixed_trace()
+        with use(MetricsRegistry()) as reg:
+            built = reg.counter("platform_records_materialised_total")
+            result = replay(trace, _mixed_cluster(FaaSCluster))
+            summary = summarize(result.records)
+            assert summary["n_invocations"] == trace.n_requests
+            assert built.value == 0
+            rows = list(result.records)
+            assert built.value == trace.n_requests
+            assert rows == list(result.records)
+            assert built.value == trace.n_requests
+
+    def test_result_metrics_read_columns(self):
+        from repro.loadgen import ReplayResult
+        from repro.platform import FaaSCluster, RecordList
+        from repro.telemetry import MetricsRegistry, use
+
+        trace = _mixed_trace()
+        result = replay(trace, _mixed_cluster(FaaSCluster))
+        assert isinstance(result.records, RecordList)
+        with use(MetricsRegistry()) as reg:
+            built = reg.counter("platform_records_materialised_total")
+            latencies = result.latencies_ms()
+            cold = result.cold_start_fraction()
+            assert built.value == 0
+        rows = ReplayResult(n_requests=trace.n_requests, wall_clock_s=0.0,
+                            records=list(result.records))
+        np.testing.assert_array_equal(latencies, rows.latencies_ms())
+        assert latencies.dtype == rows.latencies_ms().dtype
+        assert cold == rows.cold_start_fraction()

@@ -17,6 +17,8 @@ RNG-bearing scheduler between runs would compare a run against its own
 side effects.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -38,12 +40,15 @@ from repro.platform import (
     PowerOfTwoScheduler,
     RandomScheduler,
     ReactiveAutoscaler,
+    RecordColumns,
+    RecordList,
     ShortestFirstCpu,
     WorkloadProfile,
     iter_trace_slabs,
     summarize,
     summarize_columns,
 )
+from repro.telemetry import MetricsRegistry, use
 
 SEEDS = (0, 1, 2)
 
@@ -696,6 +701,103 @@ def test_records_property_is_stable_and_lazy():
         assert type(r.cold) is bool
         assert type(r.ok) is bool
         assert type(r.preemptions) is int
+
+
+# ---------------------------------------------------------------------------
+# RecordList (lazy record view) and RecordColumns.concat
+# ---------------------------------------------------------------------------
+COLUMN_FIELDS = ("workload_codes", "node", "arrival_s", "start_s", "end_s",
+                 "cold", "ok", "preemptions")
+
+
+def assert_same_columns(got, want):
+    assert got.vocabulary == want.vocabulary
+    for name in COLUMN_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def drained_columns(seed, n=120):
+    ts, wids = make_load(seed, n=n)
+    cluster = FaaSCluster(make_profiles(), keepalive=FixedKeepAlive(1.5))
+    cluster.invoke_many(ts, wids)
+    return cluster.drain_columns()
+
+
+def test_record_list_materialises_once_on_first_read():
+    columns = drained_columns(0)
+    n = len(columns)
+    with use(MetricsRegistry()) as reg:
+        built = reg.counter("platform_records_materialised_total")
+        records = RecordList(columns)
+        assert len(records) == n and records
+        assert built.value == 0  # len reads the columns
+        first = records[0]
+        assert built.value == n  # the first index builds every row
+        rows = list(records)
+        assert rows[0] is first
+        assert all(a is b for a, b in zip(records, rows))
+        assert records[-1] is rows[-1]
+        assert built.value == n  # later reads reuse the same objects
+    assert records == columns.to_records()
+    assert columns.to_records() == records
+    assert records == RecordList(columns)
+    assert records != columns.to_records()[:-1]
+    assert records != "not records"
+
+
+def test_record_list_pickles_only_its_columns():
+    columns = drained_columns(1)
+    records = RecordList(columns)
+    list(records)  # a materialised view still ships only columns
+    payload = pickle.dumps(records)
+    assert b"InvocationRecord" not in payload
+    back = pickle.loads(payload)
+    assert isinstance(back, RecordList)
+    assert back == records
+    assert_same_columns(back.columns, columns)
+
+
+def test_record_columns_concat_equals_from_records():
+    rows = drained_columns(0).to_records()
+    low = [r for r in rows if r.workload_id in ("w0", "w1", "w2")]
+    high = [r for r in rows if r.workload_id not in ("w0", "w1", "w2")]
+    other = drained_columns(2).to_records()  # overlaps both
+    for chunks in ([low, high], [high, [], low, other], [other, low],
+                   [[], []], [low]):
+        parts = [RecordColumns.from_records(c) for c in chunks]
+        merged = RecordColumns.concat(parts)
+        assert_same_columns(
+            merged, RecordColumns.from_records(sum(chunks, []))
+        )
+        assert merged.to_records() == sum(chunks, [])
+    assert_same_columns(RecordColumns.concat([]),
+                        RecordColumns.from_records([]))
+
+
+def test_record_columns_concat_of_drained_stores():
+    parts = [drained_columns(seed) for seed in SEEDS]
+    merged = RecordColumns.concat(parts)
+    assert merged.to_records() == sum((p.to_records() for p in parts), [])
+    vocab = dict.fromkeys(w for p in parts for w in p.vocabulary)
+    assert merged.vocabulary == tuple(vocab)
+    assert summarize_columns(merged) == summarize(merged.to_records())
+
+
+def test_from_records_defaults_ok_and_preemptions():
+    class Bare:
+        """A record without the optional ``ok``/``preemptions`` fields."""
+
+        def __init__(self, rec):
+            for name in ("workload_id", "node", "arrival_s", "start_s",
+                         "end_s", "cold"):
+                setattr(self, name, getattr(rec, name))
+
+    rows = drained_columns(0).to_records()
+    bare = RecordColumns.from_records(Bare(r) for r in rows)
+    assert bare.ok.all() and not bare.preemptions.any()
+    assert bare.to_records() == rows
 
 
 # ---------------------------------------------------------------------------
