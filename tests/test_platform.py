@@ -17,6 +17,7 @@ from repro.platform import (
     InvocationRecord,
     LeastLoadedScheduler,
     NoKeepAlive,
+    PowerOfTwoScheduler,
     RandomScheduler,
     WorkloadProfile,
     profiles_from_spec,
@@ -239,6 +240,44 @@ class TestSchedulers:
     def test_hash_affinity_validation(self):
         with pytest.raises(ValueError):
             HashAffinityScheduler(spill_threshold=0)
+
+    @staticmethod
+    def _choice_pick(ref, nodes):
+        """The reference power-of-two pick: the less busy of a
+        ``Generator.choice(n, 2, replace=False)`` pair, ties to the
+        first; one node is picked without a draw."""
+        n = len(nodes)
+        if n == 1:
+            return 0
+        a, b = (int(k) for k in ref.choice(n, 2, replace=False))
+        return a if nodes[a].busy_count <= nodes[b].busy_count else b
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 33])
+    def test_power_of_two_is_stream_equal_to_choice(self, n, seed):
+        # 2,500 picks draw far more than any one pre-drawn block holds;
+        # busy counts in 0..3 make ties (where pair order decides) common
+        loads = np.random.default_rng(100 + seed)
+        nodes = self._nodes([0] * n)
+        sched = PowerOfTwoScheduler(seed)
+        ref = np.random.default_rng(seed)
+        for _ in range(2500):
+            for node, load in zip(nodes, loads.integers(0, 4, n).tolist()):
+                node.busy_count = load
+            assert sched.pick(nodes, "w") == self._choice_pick(ref, nodes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_power_of_two_follows_a_changing_node_count(self, seed):
+        # autoscaling grows and shrinks the node list between picks
+        loads = np.random.default_rng(200 + seed)
+        pool = self._nodes([0] * 12)
+        sched = PowerOfTwoScheduler(seed)
+        ref = np.random.default_rng(seed)
+        for size in loads.integers(1, 13, 2000).tolist():
+            nodes = pool[:size]
+            for node, load in zip(nodes, loads.integers(0, 3, size).tolist()):
+                node.busy_count = load
+            assert sched.pick(nodes, "w") == self._choice_pick(ref, nodes)
 
     @pytest.mark.parametrize("code", [
         pytest.param(

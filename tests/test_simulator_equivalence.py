@@ -361,6 +361,100 @@ def test_bulk_rejects_unsorted_slab_like_the_loop():
     assert len(cluster.drain()) == 2  # the prefix before the bad element
 
 
+#: Configurations the bulk path never takes (a CPU model; a scheduler
+#: with no batched pick on several nodes), so ``invoke_many`` runs the
+#: scalar loop's own slab submission.
+SCALAR_ONLY = {
+    "least-loaded-cpu": lambda: dict(
+        n_nodes=3, node_memory_mb=1024.0, keepalive=FixedKeepAlive(1.5),
+        scheduler=LeastLoadedScheduler(),
+        cpu=CpuModel(cores=2, quantum_s=0.01, policy=FairShareCpu()),
+    ),
+    "power-of-two": lambda: dict(
+        n_nodes=3, node_memory_mb=1024.0, keepalive=FixedKeepAlive(1.5),
+        scheduler=PowerOfTwoScheduler(seed=3),
+    ),
+}
+
+
+def _invalid_slabs():
+    """(first slab, second slab, expected error) per invalid case; the
+    first slab is valid and moves the clock to 10 s."""
+    ts, wids = make_load(4, n=120, horizon_s=10.0)
+    first = (ts[:60], wids[:60])
+    later = ts[60:] + 10.0
+    unknown = list(wids[60:])
+    unknown[25] = "not-a-workload"
+    decreasing = later.copy()
+    decreasing[25] = decreasing[24] - 0.5
+    nan = later.copy()
+    nan[25] = np.nan
+    behind = ts[60:] - 5.0
+    return {
+        "unknown-id": (first, (later, unknown), KeyError),
+        "decreasing": (first, (decreasing, wids[60:]), ValueError),
+        "nan": (first, (nan, wids[60:]), None),
+        "behind-clock": (first, (behind, wids[60:]), ValueError),
+    }
+
+
+def _row_dump(columns):
+    """Every record as a tuple, in order; repr keeps NaN comparable."""
+    words = columns.vocabulary
+    return repr(list(zip(
+        [words[c] for c in columns.workload_codes.tolist()],
+        columns.node.tolist(), columns.arrival_s.tolist(),
+        columns.start_s.tolist(), columns.end_s.tolist(),
+        columns.cold.tolist(), columns.ok.tolist(),
+        columns.preemptions.tolist(),
+    )))
+
+
+@pytest.mark.parametrize("case", sorted(_invalid_slabs()))
+@pytest.mark.parametrize("config", sorted(SCALAR_ONLY))
+def test_scalar_slab_with_invalid_input_acts_like_the_loop(config, case):
+    # a slab the scalar loop cannot take whole must raise where the
+    # per-element loop raises and leave the same partial state.  A NaN
+    # timestamp passes the loop's checks; the object sink alone refuses
+    # it (as a record timeline), so that case is checked against
+    # per-element submission into FaaSCluster itself.
+    first, second, error = _invalid_slabs()[case]
+
+    def run(cls, batch):
+        cluster = cls(make_profiles(), **SCALAR_ONLY[config]())
+        raised = None
+        for ts, wids in (first, second):
+            try:
+                if batch:
+                    cluster.invoke_many(ts, wids)
+                else:
+                    for t, w in zip(ts.tolist(), wids):
+                        cluster.invoke(t, w)
+            except (KeyError, ValueError) as exc:
+                raised = exc
+        columns = (
+            cluster.drain_columns() if cls is FaaSCluster
+            else RecordColumns.from_records(cluster.drain())
+        )
+        return {
+            "raised": None if raised is None else (type(raised),
+                                                   str(raised)),
+            "records": _row_dump(columns),
+            "clock": cluster.clock_s,
+            "node_state": [
+                (n.node_id, n.used_memory_mb, n.busy_count, n.cpu_weight,
+                 sorted((w, len(s)) for w, s in n.idle.items()),
+                 list(n.pending))
+                for n in cluster.nodes
+            ],
+        }
+
+    ref = run(FaaSCluster if case == "nan" else ObjectFaaSCluster, False)
+    vec = run(FaaSCluster, True)
+    assert (ref["raised"] or (None,))[0] is error
+    assert vec == ref
+
+
 def test_record_store_growth_past_initial_capacity():
     # both the scalar append and the bulk extend must grow the columns
     # transparently past the initial 1024-row capacity
