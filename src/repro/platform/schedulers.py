@@ -15,8 +15,9 @@ examples exercise under FaaSRail load:
 
 from __future__ import annotations
 
+import itertools
 import zlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -87,6 +88,22 @@ class LeastLoadedScheduler:
         return loads.index(min(loads))
 
 
+#: Raw 32-bit outputs :class:`PowerOfTwoScheduler` draws per block.
+_BLOCK = 1024
+
+
+def _bounded(u32: Iterator[int], k: int) -> int:
+    """Lemire's bounded draw on ``[0, k)`` from raw 32-bit outputs --
+    NumPy's ``bounded_lemire_uint32``, so the same outputs give the
+    same value and rejections consume the same extra outputs."""
+    m = next(u32) * k
+    if (m & 0xFFFFFFFF) < k:
+        threshold = 0x100000000 % k
+        while (m & 0xFFFFFFFF) < threshold:
+            m = next(u32) * k
+    return m >> 32
+
+
 class PowerOfTwoScheduler:
     """Power-of-two-choices: probe two random nodes, take the less busy.
 
@@ -94,18 +111,45 @@ class PowerOfTwoScheduler:
     near-least-loaded balance at O(1) cost, without the full-cluster scan
     ``LeastLoadedScheduler`` implies (which is what makes it attractive to
     the cluster-scheduler literature the paper's section 2.2 surveys).
+
+    The probed pair is exactly ``Generator.choice(n, 2, replace=False)``
+    on the seeded stream, ties going to the first, but is drawn from a
+    private block of raw 32-bit outputs instead: Floyd's sampling (a
+    draw on ``[0, n-2]``, then one on ``[0, n-1]`` that becomes ``n-1``
+    if it repeats the first) and the shuffle of the pair (a draw on
+    ``[0, 1]``; 0 swaps) each use Lemire's bounded draw, as ``choice``
+    does.  A one-value range consumes no output, and one node is picked
+    without drawing.  Drawing ahead in blocks is safe because the
+    generator is private and read nowhere else: there is no
+    ``snapshot`` or ``pick_many``, and one added later must take its
+    outputs from the same block stream first.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
+        self._u32: Iterator[int] = itertools.chain.from_iterable(
+            iter(self._block, None)
+        )
+
+    def _block(self) -> list[int]:
+        block: list[int] = self._rng.integers(
+            0, 2**32, size=_BLOCK, dtype=np.uint32
+        ).tolist()
+        return block
 
     def pick(self, nodes: Sequence[Node], workload_id: str) -> int:
         del workload_id
         n = len(nodes)
         if n == 1:
             return 0
-        a, b = self._rng.choice(n, size=2, replace=False)
-        return int(a if nodes[a].busy_count <= nodes[b].busy_count else b)
+        u32 = self._u32
+        a = _bounded(u32, n - 1) if n > 2 else 0
+        b = _bounded(u32, n)
+        if b == a:
+            b = n - 1
+        if not _bounded(u32, 2):
+            a, b = b, a
+        return a if nodes[a].busy_count <= nodes[b].busy_count else b
 
 
 class LocalityAwareScheduler:

@@ -266,6 +266,20 @@ class TestSchedulers:
                 node.busy_count = load
             assert sched.pick(nodes, "w") == self._choice_pick(ref, nodes)
 
+    @pytest.mark.parametrize("k", [2, 3, 2**31 + 1, 3 * 2**30, 2**32 - 5])
+    def test_power_of_two_bounded_draw_matches_numpy(self, k):
+        # large ranges reject up to ~half their raw outputs, so this
+        # pins the rejection rule and what each rejection consumes
+        from repro.platform.schedulers import _bounded
+
+        raw = np.random.default_rng(9).integers(
+            0, 2**32, size=4000, dtype=np.uint32
+        ).tolist()
+        u32 = iter(raw)
+        ours = [_bounded(u32, k) for _ in range(1000)]
+        ref = np.random.default_rng(9).integers(0, k, size=1000).tolist()
+        assert ours == ref
+
     @pytest.mark.parametrize("seed", range(4))
     def test_power_of_two_follows_a_changing_node_count(self, seed):
         # autoscaling grows and shrinks the node list between picks
