@@ -16,6 +16,7 @@ import :mod:`repro.platform.simulator`.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol
@@ -88,7 +89,7 @@ def default_cold_start_s(profile: WorkloadProfile) -> float:
     return 0.150 + 0.0008 * profile.memory_mb
 
 
-@dataclass
+@dataclass(slots=True)
 class _Sandbox:
     """One warm (or busy) execution environment of the scalar loop.
 
@@ -124,7 +125,8 @@ class Node:
 
     ``idle`` maps workload id to a stack of idle sandboxes, most recently
     idled last, as :class:`_Sandbox` objects.  External policies only
-    rely on the mapping's keys and the per-node counters.
+    rely on the mapping's keys and the per-node counters.  ``pending``
+    is the FIFO backlog of ``(arrival_s, workload_id)`` requests.
 
     ``cpu_weight`` is the running total of the scheduling weights of the
     node's busy sandboxes under a CPU-contention model
@@ -139,7 +141,7 @@ class Node:
     busy_count: int = 0
     cpu_weight: float = 0.0
     idle: dict[str, list[Any]] = field(default_factory=dict)
-    pending: list[tuple[float, str]] = field(default_factory=list)
+    pending: deque[tuple[float, str]] = field(default_factory=deque)
 
     def push_idle(self, sandbox: _Sandbox) -> None:
         """Append to the workload's idle stack (most recently idled last).
@@ -147,18 +149,11 @@ class Node:
         Creates the stack on first use -- dict-key *insertion order* is
         semantically load-bearing: :meth:`lru_idle` breaks idle-time
         ties by it, and the array engine's bulk carry reproduces it when
-        rematerialising idle state (see ``_BulkTail``).
+        rematerialising idle state (see ``_BulkTail``).  The scalar
+        loop's completions inline the same push; an emptied stack is
+        always deleted, so a present key never holds an empty stack.
         """
         self.idle.setdefault(sandbox.workload_id, []).append(sandbox)
-
-    def pop_idle(self, workload_id: str) -> _Sandbox | None:
-        stack = self.idle.get(workload_id)
-        if not stack:
-            return None
-        sandbox: _Sandbox = stack.pop()
-        if not stack:
-            del self.idle[workload_id]
-        return sandbox
 
     def lru_idle(self) -> _Sandbox | None:
         best: _Sandbox | None = None
@@ -293,6 +288,17 @@ class _ScalarCluster:
         self._next_node_id = n_nodes
         self.service_time_cv = service_time_cv
         self.cpu = cpu
+        # the CPU policy's hooks, bound once: the loop calls them per
+        # admission and per completion
+        self._cpu_weight: Callable[[str], float] | None = None
+        self._contend: Callable[..., tuple[float, int]] | None = None
+        self._cores = 0
+        self._quantum_s = 0.0
+        if cpu is not None:
+            self._cpu_weight = cpu.policy.weight
+            self._contend = cpu.policy.contend
+            self._cores = cpu.cores
+            self._quantum_s = cpu.quantum_s
         self.track_memory = track_memory
         self.memory_samples: list[tuple[float, int, float]] = []
         self._rng = np.random.default_rng(seed)
@@ -321,6 +327,11 @@ class _ScalarCluster:
                 f"request at t={timestamp_s} is in the simulator's past "
                 f"(clock={self._clock}); submit in timestamp order"
             )
+        self._admit(timestamp_s, workload_id)
+
+    def _admit(self, timestamp_s: float, workload_id: str) -> None:
+        """One request past :meth:`invoke`'s checks: fire the events due
+        by its arrival, place it, and start or queue it."""
         heap = self._heap
         if heap and heap[0][0] <= timestamp_s:
             self._advance(timestamp_s)
@@ -413,10 +424,6 @@ class _ScalarCluster:
         if self.tracer is not None:
             self.tracer.emit(self._clock, kind, node_id, workload_id)
 
-    def _push(self, when: float, kind: str, payload: tuple[Any, ...]) -> None:
-        heapq.heappush(self._heap, (when, self._seq_n, kind, payload))
-        self._seq_n += 1
-
     def _advance(self, until: float) -> None:
         """Fire every queued event due at or before ``until``, in heap
         order; the clock ends on the last (latest) event time fired.
@@ -442,8 +449,11 @@ class _ScalarCluster:
         """Start an invocation now if a sandbox can be had; else False."""
         now = self._clock
         profile = self.profiles[workload_id]
-        sandbox = node.pop_idle(workload_id)
-        if sandbox is not None:
+        stack = node.idle.get(workload_id)
+        if stack:
+            sandbox = stack.pop()
+            if not stack:
+                del node.idle[workload_id]
             self.keepalive.observe_idle_gap(
                 workload_id, now - sandbox.idle_since
             )
@@ -487,13 +497,15 @@ class _ScalarCluster:
             sigma, mu = self._lognorm
             service_s *= float(self._rng.lognormal(mu, sigma))
         preemptions = 0
-        if self.cpu is not None:
+        weight_of = self._cpu_weight
+        contend = self._contend
+        if weight_of is not None and contend is not None:
             # run-queue-aware dilation, fixed at admission time
-            w = self.cpu.policy.weight(workload_id)
-            dilated, preemptions = self.cpu.policy.contend(
+            w = weight_of(workload_id)
+            dilated, preemptions = contend(
                 service_s,
-                cores=self.cpu.cores,
-                quantum_s=self.cpu.quantum_s,
+                cores=self._cores,
+                quantum_s=self._quantum_s,
                 concurrent=node.busy_count + 1,
                 weight=w,
                 total_weight=node.cpu_weight + w,
@@ -517,17 +529,27 @@ class _ScalarCluster:
                      cold, ok, preemptions)
         # Events carry the Node object itself: under autoscaling the
         # nodes list mutates, so positional ids are not stable handles.
-        self._push(end, "end" if ok else "crash", (node, sandbox))
+        seq = self._seq_n
+        self._seq_n = seq + 1
+        heapq.heappush(
+            self._heap, (end, seq, "end" if ok else "crash", (node, sandbox))
+        )
         return True
 
     def _on_completion(self, now: float, node: Node,
                        sandbox: _Sandbox) -> None:
         node.busy_count -= 1
-        if self.cpu is not None:
-            node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
+        workload_id = sandbox.workload_id
+        weight_of = self._cpu_weight
+        if weight_of is not None:
+            node.cpu_weight -= weight_of(workload_id)
         sandbox.idle_since = now
-        node.push_idle(sandbox)
-        ttl = self.keepalive.ttl_s(sandbox.workload_id)
+        stack = node.idle.get(workload_id)
+        if stack is None:
+            node.idle[workload_id] = [sandbox]
+        else:
+            stack.append(sandbox)
+        ttl = self.keepalive.ttl_s(workload_id)
         if ttl <= 0:
             node.remove_idle(sandbox)
         else:
@@ -550,8 +572,8 @@ class _ScalarCluster:
         """The sandbox died mid-invocation: destroy it outright."""
         del now
         node.busy_count -= 1
-        if self.cpu is not None:
-            node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
+        if self._cpu_weight is not None:
+            node.cpu_weight -= self._cpu_weight(sandbox.workload_id)
         node.used_memory_mb -= sandbox.memory_mb
         if self.tracer is not None:
             self._trace("sandbox_crashed", node.node_id,
@@ -591,15 +613,16 @@ class _ScalarCluster:
             self._serve_pending(node)
 
     def _serve_pending(self, node: Node) -> None:
-        while node.pending:
-            arrival_s, workload_id = node.pending[0]
+        pending = node.pending
+        while pending:
+            arrival_s, workload_id = pending[0]
             if (
                 self.queue_timeout_s is not None
                 and self._clock - arrival_s > self.queue_timeout_s
             ):
-                self.dropped.append(node.pending.pop(0))
+                self.dropped.append(pending.popleft())
                 self._trace("request_dropped", node.node_id, workload_id)
                 continue
             if not self._try_start(node, arrival_s, workload_id):
                 return
-            node.pending.pop(0)
+            pending.popleft()

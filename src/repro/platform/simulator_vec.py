@@ -1163,6 +1163,27 @@ class FaaSCluster(_ScalarCluster):
         ts: npt.NDArray[np.float64],
         workload_ids: Sequence[str],
     ) -> None:
+        """Run a non-empty slab through the scalar loop.
+
+        The slab is checked once, as a whole: every id has a profile,
+        and the timestamps are finite, non-decreasing and not behind the
+        clock.  Then no element can fail :meth:`invoke`'s checks, so
+        each one goes straight to ``_admit``.  A slab that fails goes
+        through :meth:`invoke` one element at a time, which raises where
+        the per-element loop raises, with the same partial state.
+        """
+        if (
+            self.profiles.keys() >= set(workload_ids)
+            and bool(np.isfinite(ts).all())
+            and float(ts[0]) >= self._clock
+            and not bool(np.any(ts[1:] < ts[:-1]))
+        ):
+            if self._tail is not None:
+                self._materialize_tail()
+            admit = self._admit
+            for t, w in zip(ts.tolist(), workload_ids):
+                admit(t, w)
+            return
         invoke = self.invoke
         for t, w in zip(ts.tolist(), workload_ids):
             invoke(t, w)
