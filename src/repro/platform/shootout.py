@@ -155,11 +155,9 @@ def make_load(config: ShootoutConfig) -> tuple[np.ndarray, list[str]]:
     """The deterministic arrival stream every cell replays."""
     rng = np.random.default_rng(config.seed)
     ts = np.sort(rng.uniform(0.0, config.horizon_s, config.n_requests))
-    wids = [
-        f"w{int(i)}"
-        for i in rng.integers(0, config.n_workloads, config.n_requests)
-    ]
-    return ts, wids
+    names = [f"w{i}" for i in range(config.n_workloads)]
+    codes = rng.integers(0, config.n_workloads, config.n_requests)
+    return ts, [names[i] for i in codes.tolist()]
 
 
 def make_profiles(config: ShootoutConfig) -> dict[str, WorkloadProfile]:
