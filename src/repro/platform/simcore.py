@@ -150,8 +150,7 @@ class Node:
         semantically load-bearing: :meth:`lru_idle` breaks idle-time
         ties by it, and the array engine's bulk carry reproduces it when
         rematerialising idle state (see ``_BulkTail``).  The scalar
-        loop's completions inline the same push; an emptied stack is
-        always deleted, so a present key never holds an empty stack.
+        loop's completions inline the same push.
         """
         self.idle.setdefault(sandbox.workload_id, []).append(sandbox)
 
@@ -544,11 +543,7 @@ class _ScalarCluster:
         if weight_of is not None:
             node.cpu_weight -= weight_of(workload_id)
         sandbox.idle_since = now
-        stack = node.idle.get(workload_id)
-        if stack is None:
-            node.idle[workload_id] = [sandbox]
-        else:
-            stack.append(sandbox)
+        node.idle.setdefault(workload_id, []).append(sandbox)
         ttl = self.keepalive.ttl_s(workload_id)
         if ttl <= 0:
             node.remove_idle(sandbox)
