@@ -1172,20 +1172,21 @@ class FaaSCluster(_ScalarCluster):
         through :meth:`invoke` one element at a time, which raises where
         the per-element loop raises, with the same partial state.
         """
+        times = ts.tolist()
         if (
             self.profiles.keys() >= set(workload_ids)
             and bool(np.isfinite(ts).all())
-            and float(ts[0]) >= self._clock
+            and times[0] >= self._clock
             and not bool(np.any(ts[1:] < ts[:-1]))
         ):
             if self._tail is not None:
                 self._materialize_tail()
             admit = self._admit
-            for t, w in zip(ts.tolist(), workload_ids):
+            for t, w in zip(times, workload_ids):
                 admit(t, w)
             return
         invoke = self.invoke
-        for t, w in zip(ts.tolist(), workload_ids):
+        for t, w in zip(times, workload_ids):
             invoke(t, w)
 
     def _materialize_tail(self) -> None:
