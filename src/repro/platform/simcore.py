@@ -149,8 +149,7 @@ class Node:
         Creates the stack on first use -- dict-key *insertion order* is
         semantically load-bearing: :meth:`lru_idle` breaks idle-time
         ties by it, and the array engine's bulk carry reproduces it when
-        rematerialising idle state (see ``_BulkTail``).  The scalar
-        loop's completions inline the same push.
+        rematerialising idle state (see ``_BulkTail``).
         """
         self.idle.setdefault(sandbox.workload_id, []).append(sandbox)
 
@@ -287,17 +286,6 @@ class _ScalarCluster:
         self._next_node_id = n_nodes
         self.service_time_cv = service_time_cv
         self.cpu = cpu
-        # the CPU policy's hooks, bound once: the loop calls them per
-        # admission and per completion
-        self._cpu_weight: Callable[[str], float] | None = None
-        self._contend: Callable[..., tuple[float, int]] | None = None
-        self._cores = 0
-        self._quantum_s = 0.0
-        if cpu is not None:
-            self._cpu_weight = cpu.policy.weight
-            self._contend = cpu.policy.contend
-            self._cores = cpu.cores
-            self._quantum_s = cpu.quantum_s
         self.track_memory = track_memory
         self.memory_samples: list[tuple[float, int, float]] = []
         self._rng = np.random.default_rng(seed)
@@ -326,11 +314,6 @@ class _ScalarCluster:
                 f"request at t={timestamp_s} is in the simulator's past "
                 f"(clock={self._clock}); submit in timestamp order"
             )
-        self._admit(timestamp_s, workload_id)
-
-    def _admit(self, timestamp_s: float, workload_id: str) -> None:
-        """One request past :meth:`invoke`'s checks: fire the events due
-        by its arrival, place it, and start or queue it."""
         heap = self._heap
         if heap and heap[0][0] <= timestamp_s:
             self._advance(timestamp_s)
@@ -496,15 +479,15 @@ class _ScalarCluster:
             sigma, mu = self._lognorm
             service_s *= float(self._rng.lognormal(mu, sigma))
         preemptions = 0
-        weight_of = self._cpu_weight
-        contend = self._contend
-        if weight_of is not None and contend is not None:
+        cpu = self.cpu
+        if cpu is not None:
             # run-queue-aware dilation, fixed at admission time
-            w = weight_of(workload_id)
-            dilated, preemptions = contend(
+            policy = cpu.policy
+            w = policy.weight(workload_id)
+            dilated, preemptions = policy.contend(
                 service_s,
-                cores=self._cores,
-                quantum_s=self._quantum_s,
+                cores=cpu.cores,
+                quantum_s=cpu.quantum_s,
                 concurrent=node.busy_count + 1,
                 weight=w,
                 total_weight=node.cpu_weight + w,
@@ -538,13 +521,11 @@ class _ScalarCluster:
     def _on_completion(self, now: float, node: Node,
                        sandbox: _Sandbox) -> None:
         node.busy_count -= 1
-        workload_id = sandbox.workload_id
-        weight_of = self._cpu_weight
-        if weight_of is not None:
-            node.cpu_weight -= weight_of(workload_id)
+        if self.cpu is not None:
+            node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
         sandbox.idle_since = now
-        node.idle.setdefault(workload_id, []).append(sandbox)
-        ttl = self.keepalive.ttl_s(workload_id)
+        node.push_idle(sandbox)
+        ttl = self.keepalive.ttl_s(sandbox.workload_id)
         if ttl <= 0:
             node.remove_idle(sandbox)
         else:
@@ -567,8 +548,8 @@ class _ScalarCluster:
         """The sandbox died mid-invocation: destroy it outright."""
         del now
         node.busy_count -= 1
-        if self._cpu_weight is not None:
-            node.cpu_weight -= self._cpu_weight(sandbox.workload_id)
+        if self.cpu is not None:
+            node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
         node.used_memory_mb -= sandbox.memory_mb
         if self.tracer is not None:
             self._trace("sandbox_crashed", node.node_id,

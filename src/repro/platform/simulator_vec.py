@@ -1163,31 +1163,15 @@ class FaaSCluster(_ScalarCluster):
         ts: npt.NDArray[np.float64],
         workload_ids: Sequence[str],
     ) -> None:
-        """Run a non-empty slab through the scalar loop.
-
-        The slab is checked once, as a whole: every id has a profile,
-        and the timestamps are finite, non-decreasing and not behind the
-        clock.  Then no element can fail :meth:`invoke`'s checks, so
-        each one goes straight to ``_admit``.  A slab that fails goes
-        through :meth:`invoke` one element at a time, which raises where
-        the per-element loop raises, with the same partial state.
-        """
-        times = ts.tolist()
-        if (
-            self.profiles.keys() >= set(workload_ids)
-            and bool(np.isfinite(ts).all())
-            and times[0] >= self._clock
-            and not bool(np.any(ts[1:] < ts[:-1]))
-        ):
-            if self._tail is not None:
-                self._materialize_tail()
-            admit = self._admit
-            for t, w in zip(times, workload_ids):
-                admit(t, w)
-            return
-        invoke = self.invoke
-        for t, w in zip(times, workload_ids):
-            invoke(t, w)
+        """Run a non-empty slab through the scalar loop: any bulk carry
+        is materialised once, then each element goes through the loop's
+        own checked ``invoke``, so errors and partial state are the
+        per-element loop's by construction."""
+        if self._tail is not None:
+            self._materialize_tail()
+        invoke = _ScalarCluster.invoke
+        for t, w in zip(ts.tolist(), workload_ids):
+            invoke(self, t, w)
 
     def _materialize_tail(self) -> None:
         """Turn a bulk carry into ordinary heap events and node state so
