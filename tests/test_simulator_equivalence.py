@@ -389,11 +389,15 @@ def _invalid_slabs():
     decreasing[25] = decreasing[24] - 0.5
     nan = later.copy()
     nan[25] = np.nan
+    # a step down across the NaN: no pair of neighbours decreases
+    nan_then_down = nan.copy()
+    nan_then_down[26] = nan_then_down[24] - 0.5
     behind = ts[60:] - 5.0
     return {
         "unknown-id": (first, (later, unknown), KeyError),
         "decreasing": (first, (decreasing, wids[60:]), ValueError),
         "nan": (first, (nan, wids[60:]), None),
+        "nan-then-decrease": (first, (nan_then_down, wids[60:]), ValueError),
         "behind-clock": (first, (behind, wids[60:]), ValueError),
     }
 
@@ -416,7 +420,7 @@ def test_scalar_slab_with_invalid_input_acts_like_the_loop(config, case):
     # a slab the scalar loop cannot take whole must raise where the
     # per-element loop raises and leave the same partial state.  A NaN
     # timestamp passes the loop's checks; the object sink alone refuses
-    # it (as a record timeline), so that case is checked against
+    # it (as a record timeline), so the NaN cases are checked against
     # per-element submission into FaaSCluster itself.
     first, second, error = _invalid_slabs()[case]
 
@@ -449,7 +453,8 @@ def test_scalar_slab_with_invalid_input_acts_like_the_loop(config, case):
             ],
         }
 
-    ref = run(FaaSCluster if case == "nan" else ObjectFaaSCluster, False)
+    ref = run(FaaSCluster if case.startswith("nan") else ObjectFaaSCluster,
+              False)
     vec = run(FaaSCluster, True)
     assert (ref["raised"] or (None,))[0] is error
     assert vec == ref
