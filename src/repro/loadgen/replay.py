@@ -278,12 +278,14 @@ def replay(
     resilient = (retry is not None or breaker is not None
                  or checkpoint_path is not None)
     # hoist per-request conversions out of the hot loop: one vectorised
-    # pass instead of n_requests float()/str() calls
-    timestamps = trace.timestamps_s.tolist()
+    # pass instead of n_requests float()/str() calls.  Timestamps are
+    # converted only where a per-request loop reads them; a batched
+    # backend takes the array itself.
     workload_ids = [str(w) for w in trace.workload_ids.tolist()]
     if resilient:
         result = _replay_resilient(
-            trace, backend, timestamps, workload_ids, speed=speed,
+            trace, backend, trace.timestamps_s.tolist(), workload_ids,
+            speed=speed,
             retry=retry, breaker=breaker, checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every, resume=resume, drift=drift,
         )
@@ -291,8 +293,10 @@ def replay(
         if reg is not None:
             _record_replay_telemetry(reg, trace, result, breaker)
         return result
+    # the pacer reads every timestamp: convert them before its clock starts
+    timestamps = trace.timestamps_s.tolist() if np.isfinite(speed) else None
     t_start = time.perf_counter()  # repro: allow-wall-clock
-    if np.isfinite(speed):
+    if timestamps is not None:
         runtimes = trace.runtimes_ms.tolist() if drift is not None else None
         for i, (ts, wid) in enumerate(zip(timestamps, workload_ids)):
             # repro: allow-wall-clock (pacer: real time is the point)
@@ -313,7 +317,7 @@ def replay(
             batch_invoke(backend, trace.timestamps_s, workload_ids)
         else:
             invoke = backend.invoke
-            for ts, wid in zip(timestamps, workload_ids):
+            for ts, wid in zip(trace.timestamps_s.tolist(), workload_ids):
                 invoke(ts, wid)
         if drift is not None:
             drift.observe_many(trace.runtimes_ms, trace.timestamps_s)

@@ -16,9 +16,11 @@ import :mod:`repro.platform.simulator`.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from collections.abc import Callable, Sequence
+import struct
+from collections import OrderedDict, deque
+from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Protocol
 
 import numpy as np
@@ -35,6 +37,22 @@ __all__ = ["Node", "WorkloadProfile", "default_cold_start_s"]
 #: The horizon a drain fires the remaining event calendar up to, and a
 #: sandbox's ``queued_at`` when no expiry event is queued for it.
 _INF = float("inf")
+
+#: One request row sent into the scalar loop: ``(timestamp_s,
+#: workload_id)``; a ``None`` workload id asks for a drain.
+_Row = tuple[float, "str | None"]
+#: One started invocation as the loop buffers it, packed: the
+#: workload's position in the cluster's profiles, node id, arrival,
+#: start and end times, cold, ok and preemptions.  ``_RECORD_DTYPE`` is
+#: the same layout, so a flush reads a whole buffer as one array.
+_RECORD_ROW = struct.Struct("<2i3d2?i")
+_RECORD_DTYPE = np.dtype([
+    ("position", "<i4"), ("node", "<i4"), ("arrival", "<f8"),
+    ("start", "<f8"), ("end", "<f8"), ("cold", "?"), ("ok", "?"),
+    ("preempt", "<i4"),
+])
+#: Record rows the loop buffers before it flushes them to the store.
+_FLUSH_ROWS = 4096
 
 
 # ----------------------------------------------------------------------
@@ -89,9 +107,12 @@ def default_cold_start_s(profile: WorkloadProfile) -> float:
     return 0.150 + 0.0008 * profile.memory_mb
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Sandbox:
     """One warm (or busy) execution environment of the scalar loop.
+
+    Sandboxes compare (and hash) by identity: a node's idle stacks and
+    LRU index hold the objects themselves.
 
     ``expire_at``/``expire_seq`` are the pending keep-alive deadline: the
     ``(time, sequence)`` heap key it got when the sandbox last idled.
@@ -128,6 +149,11 @@ class Node:
     rely on the mapping's keys and the per-node counters.  ``pending``
     is the FIFO backlog of ``(arrival_s, workload_id)`` requests.
 
+    ``idle_lru`` indexes the same idle sandboxes in ``idle_since`` order
+    (an ordered dict used as a linked list, so a push, a removal and the
+    oldest entry are all O(1)).  The scalar loop pushes at its clock,
+    which never goes back, so push order is ``idle_since`` order.
+
     ``cpu_weight`` is the running total of the scheduling weights of the
     node's busy sandboxes under a CPU-contention model
     (:class:`~repro.platform.cpu.CpuModel`): incremented at admission,
@@ -142,35 +168,75 @@ class Node:
     cpu_weight: float = 0.0
     idle: dict[str, list[Any]] = field(default_factory=dict)
     pending: deque[tuple[float, str]] = field(default_factory=deque)
+    idle_lru: OrderedDict[_Sandbox, None] = field(
+        default_factory=OrderedDict, repr=False
+    )
 
     def push_idle(self, sandbox: _Sandbox) -> None:
-        """Append to the workload's idle stack (most recently idled last).
+        """Append to the workload's idle stack (most recently idled last)
+        and to the LRU index.
 
         Creates the stack on first use -- dict-key *insertion order* is
         semantically load-bearing: :meth:`lru_idle` breaks idle-time
         ties by it, and the array engine's bulk carry reproduces it when
-        rematerialising idle state (see ``_BulkTail``).
+        rematerialising idle state (see ``_BulkTail``).  A push must not
+        idle earlier than the index's newest entry; :meth:`sort_lru`
+        restores the order after pushes that do.
         """
         self.idle.setdefault(sandbox.workload_id, []).append(sandbox)
+        self.idle_lru[sandbox] = None
+
+    def pop_idle(self, workload_id: str) -> _Sandbox | None:
+        """Take the workload's most recently idled sandbox (warm reuse),
+        or None if it has none idle here."""
+        stack = self.idle.get(workload_id)
+        if not stack:
+            return None
+        sandbox: _Sandbox = stack.pop()
+        if not stack:
+            del self.idle[workload_id]
+        del self.idle_lru[sandbox]
+        return sandbox
+
+    def sort_lru(self) -> None:
+        """Put the LRU index back in ``idle_since`` order (stable)."""
+        self.idle_lru = OrderedDict.fromkeys(
+            sorted(self.idle_lru, key=attrgetter("idle_since"))
+        )
 
     def lru_idle(self) -> _Sandbox | None:
-        best: _Sandbox | None = None
-        for stack in self.idle.values():
-            for sb in stack:
-                if best is None or sb.idle_since < best.idle_since:
-                    best = sb
-        return best
+        """The least recently idled sandbox: smallest ``idle_since``,
+        ties to the first in workload-key order, then stack order.
+
+        The index's head is the answer unless the next entry idled at
+        the same time; only then are the stacks scanned.  Each stack is
+        in ``idle_since`` order, so its bottom is its oldest entry.
+        """
+        entries = iter(self.idle_lru)
+        head = next(entries, None)
+        if head is None:
+            return None
+        runner_up = next(entries, None)
+        if runner_up is None or runner_up.idle_since != head.idle_since:
+            return head
+        oldest = head.idle_since
+        victim: _Sandbox = next(
+            stack[0] for stack in self.idle.values()
+            if stack[0].idle_since == oldest
+        )
+        return victim
 
     def remove_idle(self, sandbox: _Sandbox) -> None:
         stack = self.idle[sandbox.workload_id]
         stack.remove(sandbox)
         if not stack:
             del self.idle[sandbox.workload_id]
+        del self.idle_lru[sandbox]
         self.used_memory_mb -= sandbox.memory_mb
 
     @property
     def idle_count(self) -> int:
-        return sum(len(s) for s in self.idle.values())
+        return len(self.idle_lru)
 
 
 # ----------------------------------------------------------------------
@@ -184,13 +250,18 @@ class _ScalarCluster:
     freshly created sandbox (evicting LRU idle sandboxes to make room)
     or queued FIFO on its node; completions, crashes and keep-alive
     expiries are heap events ordered by ``(time, sequence)``.
-    Subclasses supply only the record sink, :attr:`_record`.
-    """
 
-    #: The record sink, called once per started invocation with
-    #: ``(workload_id, node_id, arrival_s, start_s, end_s, cold, ok,
-    #: preemptions)``.
-    _record: Callable[[str, int, float, float, float, bool, bool, int], None]
+    The loop is one resident generator per cluster (:meth:`_run`),
+    started on the first submission: it binds the policies and the
+    record buffer once, then takes one ``(timestamp_s, workload_id)``
+    row per ``send``.  All simulation state lives on the cluster, so
+    the generator can be dropped (a drain, an escaped exception) and
+    restarted exactly.  Each started invocation is one packed row
+    (:data:`_RECORD_ROW`) appended to :attr:`_rows`; subclasses supply
+    only :meth:`_flush_rows`, which moves the rows into their record
+    store (the loop flushes every :data:`_FLUSH_ROWS` rows, and every
+    read flushes first).
+    """
 
     def __init__(
         self,
@@ -296,47 +367,292 @@ class _ScalarCluster:
         else:
             self._lognorm = None
         self._clock = 0.0
-        self._heap: list[tuple[float, int, str, tuple[Any, ...]]] = []
+        #: ``(time, sequence, kind, node, sandbox)`` events; kind is
+        #: "end", "crash" or "expire".
+        self._heap: list[tuple[float, int, str, Node, _Sandbox]] = []
         # plain integers: the bulk path advances both by whole slabs
         self._seq_n = 0
         self._sandbox_n = 0
         #: Latest keep-alive deadline ever set; a drain ends no earlier.
         self._last_deadline = 0.0
+        self._rows: list[bytes] = []
+        self._loop: Generator[None, _Row, None] | None = None
 
     # ------------------------------------------------------------------
     # Backend protocol
     # ------------------------------------------------------------------
     def invoke(self, timestamp_s: float, workload_id: str) -> None:
-        if workload_id not in self.profiles:
-            raise KeyError(f"no profile for workload {workload_id!r}")
-        if timestamp_s < self._clock:
-            raise ValueError(
-                f"request at t={timestamp_s} is in the simulator's past "
-                f"(clock={self._clock}); submit in timestamp order"
-            )
-        heap = self._heap
-        if heap and heap[0][0] <= timestamp_s:
-            self._advance(timestamp_s)
-        if timestamp_s > self._clock:
-            self._clock = timestamp_s
-        if self.autoscaler is not None:
-            self._apply_autoscaling(timestamp_s)
-        node = self.nodes[self.scheduler.pick(self.nodes, workload_id)]
-        if not self._try_start(node, timestamp_s, workload_id):
-            self._trace("request_queued", node.node_id, workload_id)
-            node.pending.append((timestamp_s, workload_id))
+        self._send((timestamp_s, workload_id))
 
     @property
     def clock_s(self) -> float:
         return self._clock
 
     # ------------------------------------------------------------------
+    # the resident loop
+    # ------------------------------------------------------------------
+    def _start_loop(self) -> Generator[None, _Row, None]:
+        loop = self._run()
+        next(loop)
+        self._loop = loop
+        return loop
+
+    def _send(self, row: _Row) -> None:
+        """Run one row through the loop; an escaped exception drops the
+        loop, and the next row starts a fresh one."""
+        loop = self._loop or self._start_loop()
+        try:
+            loop.send(row)
+        except BaseException:
+            self._loop = None
+            raise
+
+    def _run(self) -> Generator[None, _Row, None]:
+        """The event loop: per request row, fire the events due by its
+        timestamp, then place and start (or queue) the request.
+
+        A ``(inf, None)`` row is a drain: it fires the whole calendar
+        and places nothing.  Everything the loop calls per event is
+        bound here, once per loop; the start, the backlog, crashes and
+        expiries are closures over those bindings (one copy each, which
+        the drain reaches through the same loop) and completions run
+        inline.
+        """
+        profiles = self.profiles
+        nodes = self.nodes
+        heap = self._heap
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        pick = self.scheduler.pick
+        ttl_s = self.keepalive.ttl_s
+        observe_idle_gap = self.keepalive.observe_idle_gap
+        cold_start_model = self.cold_start_model
+        cpu = self.cpu
+        weight = cpu.policy.weight if cpu is not None else None
+        lognorm = self._lognorm
+        lognormal = self._rng.lognormal
+        fault_hook = self.fault_hook
+        tracer = self.tracer
+        trace = self._trace
+        track_memory = self.track_memory
+        memory_samples = self.memory_samples
+        queue_timeout_s = self.queue_timeout_s
+        dropped = self.dropped
+        autoscaler = self.autoscaler
+        queue_expiry = self._queue_expiry
+        rows = self._rows
+        record = rows.append
+        pack = _RECORD_ROW.pack
+        position = {w: i for i, w in enumerate(profiles)}
+        flush = self._flush_rows
+
+        def try_start(node: Node, arrival_s: float,
+                      workload_id: str) -> bool:
+            """Start an invocation now if a sandbox can be had; else
+            False."""
+            now = self._clock
+            profile = profiles[workload_id]
+            sandbox = node.pop_idle(workload_id)
+            if sandbox is not None:
+                observe_idle_gap(workload_id, now - sandbox.idle_since)
+                sandbox.expire_seq = -1  # cancels the pending expiry
+                if tracer is not None:
+                    trace("sandbox_reused", node.node_id, workload_id)
+                begin = now
+                cold = False
+            else:
+                # Make room, evicting the least recently used idle
+                # sandboxes.
+                while (
+                    node.used_memory_mb + profile.memory_mb
+                    > node.memory_capacity_mb
+                ):
+                    victim = node.lru_idle()
+                    if victim is None:
+                        return False
+                    victim.expire_seq = -1
+                    node.remove_idle(victim)
+                    if tracer is not None:
+                        trace("sandbox_evicted", node.node_id,
+                              victim.workload_id)
+                node.used_memory_mb += profile.memory_mb
+                if track_memory:
+                    memory_samples.append(
+                        (now, node.node_id, node.used_memory_mb)
+                    )
+                sandbox = _Sandbox(self._sandbox_n, workload_id,
+                                   profile.memory_mb)
+                self._sandbox_n += 1
+                if tracer is not None:
+                    trace("sandbox_created", node.node_id, workload_id)
+                begin = now + cold_start_model(profile)
+                cold = True
+
+            service_s = profile.runtime_ms / 1e3
+            if lognorm is not None:
+                sigma, mu = lognorm
+                service_s *= float(lognormal(mu, sigma))
+            preemptions = 0
+            if cpu is not None:
+                # run-queue-aware dilation, fixed at admission time
+                policy = cpu.policy
+                w = policy.weight(workload_id)
+                dilated, preemptions = policy.contend(
+                    service_s,
+                    cores=cpu.cores,
+                    quantum_s=cpu.quantum_s,
+                    concurrent=node.busy_count + 1,
+                    weight=w,
+                    total_weight=node.cpu_weight + w,
+                )
+                if dilated > service_s and tracer is not None:
+                    trace("invocation_contended", node.node_id,
+                          workload_id)
+                service_s = dilated
+                node.cpu_weight += w
+            end = begin + service_s
+            ok = True
+            if fault_hook is not None:
+                frac = fault_hook.crash_fraction(
+                    now, node.node_id, workload_id
+                )
+                if frac is not None:
+                    end = begin + service_s * min(max(frac, 0.0), 1.0)
+                    ok = False
+            node.busy_count += 1
+            record(pack(position[workload_id], node.node_id, arrival_s,
+                        begin, end, cold, ok, preemptions))
+            # Events carry the Node object itself: under autoscaling the
+            # nodes list mutates, so positional ids are not stable
+            # handles.
+            seq = self._seq_n
+            self._seq_n = seq + 1
+            heappush(heap, (end, seq, "end" if ok else "crash", node,
+                            sandbox))
+            return True
+
+        def serve_pending(node: Node) -> None:
+            pending = node.pending
+            while pending:
+                arrival_s, workload_id = pending[0]
+                if (
+                    queue_timeout_s is not None
+                    and self._clock - arrival_s > queue_timeout_s
+                ):
+                    dropped.append(pending.popleft())
+                    trace("request_dropped", node.node_id, workload_id)
+                    continue
+                if not try_start(node, arrival_s, workload_id):
+                    return
+                pending.popleft()
+
+        def on_crash(node: Node, sandbox: _Sandbox) -> None:
+            """The sandbox died mid-invocation: destroy it outright."""
+            node.busy_count -= 1
+            if weight is not None:
+                node.cpu_weight -= weight(sandbox.workload_id)
+            node.used_memory_mb -= sandbox.memory_mb
+            if tracer is not None:
+                trace("sandbox_crashed", node.node_id, sandbox.workload_id)
+            if track_memory:
+                memory_samples.append(
+                    (self._clock, node.node_id, node.used_memory_mb)
+                )
+            serve_pending(node)
+
+        def on_expiry(seq: int, node: Node, sandbox: _Sandbox) -> None:
+            if seq != sandbox.queued_seq:
+                return  # superseded by an earlier deadline
+            pending = sandbox.expire_seq
+            if seq != pending:
+                if pending < 0:  # busy, evicted or crashed since
+                    sandbox.queued_at, sandbox.queued_seq = _INF, -1
+                else:  # idled again since: re-arm at the pending deadline
+                    queue_expiry(node, sandbox, sandbox.expire_at, pending)
+                return
+            node.remove_idle(sandbox)
+            if tracer is not None:
+                trace("sandbox_expired", node.node_id, sandbox.workload_id)
+            if track_memory:
+                memory_samples.append(
+                    (self._clock, node.node_id, node.used_memory_mb)
+                )
+            if node.pending:
+                serve_pending(node)
+
+        timestamp_s, workload_id = yield
+        while True:
+            if workload_id not in profiles:
+                if workload_id is not None:
+                    raise KeyError(
+                        f"no profile for workload {workload_id!r}"
+                    )
+            elif timestamp_s < self._clock:
+                raise ValueError(
+                    f"request at t={timestamp_s} is in the simulator's "
+                    f"past (clock={self._clock}); submit in timestamp "
+                    "order"
+                )
+            while heap and heap[0][0] <= timestamp_s:
+                when, seq, kind, node, sandbox = heappop(heap)
+                self._clock = when
+                if kind == "end":
+                    node.busy_count -= 1
+                    if weight is not None:
+                        node.cpu_weight -= weight(sandbox.workload_id)
+                    sandbox.idle_since = when
+                    node.push_idle(sandbox)
+                    ttl = ttl_s(sandbox.workload_id)
+                    if ttl <= 0:
+                        node.remove_idle(sandbox)
+                    else:
+                        # the deadline takes the sequence number its own
+                        # event would have, so every other event keeps
+                        # its key
+                        deadline = when + ttl
+                        seq = self._seq_n
+                        self._seq_n = seq + 1
+                        sandbox.expire_at = deadline
+                        sandbox.expire_seq = seq
+                        if deadline > self._last_deadline:
+                            self._last_deadline = deadline
+                        if deadline < sandbox.queued_at:
+                            queue_expiry(node, sandbox, deadline, seq)
+                    if node.pending:
+                        serve_pending(node)
+                elif kind == "crash":
+                    on_crash(node, sandbox)
+                else:  # "expire"
+                    on_expiry(seq, node, sandbox)
+            if workload_id is not None:
+                if timestamp_s > self._clock:
+                    self._clock = timestamp_s
+                if autoscaler is not None:
+                    self._apply_autoscaling(timestamp_s)
+                node = nodes[pick(nodes, workload_id)]
+                if not try_start(node, timestamp_s, workload_id):
+                    trace("request_queued", node.node_id, workload_id)
+                    node.pending.append((timestamp_s, workload_id))
+                if len(rows) >= _FLUSH_ROWS:
+                    flush()
+            timestamp_s, workload_id = yield
+
+    def _flush_rows(self) -> None:
+        """Move the buffered record rows into the record store."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
     # drain
     # ------------------------------------------------------------------
     def _drain_events(self) -> None:
         """Fire the whole event calendar, then drop (or refuse) what is
-        still queued."""
-        self._advance(_INF)
+        still queued; the loop is closed, so a drained cluster holds no
+        generator (and no reference cycle through it)."""
+        self._send((_INF, None))
+        loop, self._loop = self._loop, None
+        if loop is not None:
+            loop.close()
+        self._flush_rows()
         # a deadline replaced before its event was queued never fires,
         # yet the clock ends on the latest one set, as if all had fired
         if self._last_deadline > self._clock:
@@ -406,199 +722,9 @@ class _ScalarCluster:
         if self.tracer is not None:
             self.tracer.emit(self._clock, kind, node_id, workload_id)
 
-    def _advance(self, until: float) -> None:
-        """Fire every queued event due at or before ``until``, in heap
-        order; the clock ends on the last (latest) event time fired.
-
-        Callers moving on to a later time set the clock themselves.
-        Every push is at or after the clock, so pops never go back in
-        time.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap and heap[0][0] <= until:
-            when, seq, kind, payload = heappop(heap)
-            self._clock = when
-            if kind == "end":
-                self._on_completion(when, *payload)
-            elif kind == "crash":
-                self._on_crash(when, *payload)
-            else:  # "expire"
-                self._on_expiry(seq, *payload)
-
-    def _try_start(self, node: Node, arrival_s: float,
-                   workload_id: str) -> bool:
-        """Start an invocation now if a sandbox can be had; else False."""
-        now = self._clock
-        profile = self.profiles[workload_id]
-        stack = node.idle.get(workload_id)
-        if stack:
-            sandbox = stack.pop()
-            if not stack:
-                del node.idle[workload_id]
-            self.keepalive.observe_idle_gap(
-                workload_id, now - sandbox.idle_since
-            )
-            sandbox.expire_seq = -1  # cancels the pending expiry
-            if self.tracer is not None:
-                self._trace("sandbox_reused", node.node_id, workload_id)
-            start = now
-            cold = False
-        else:
-            # Make room, evicting the least recently used idle sandboxes.
-            while (
-                node.used_memory_mb + profile.memory_mb
-                > node.memory_capacity_mb
-            ):
-                victim = node.lru_idle()
-                if victim is None:
-                    return False
-                victim.expire_seq = -1
-                node.remove_idle(victim)
-                if self.tracer is not None:
-                    self._trace("sandbox_evicted", node.node_id,
-                                victim.workload_id)
-            node.used_memory_mb += profile.memory_mb
-            if self.track_memory:
-                self.memory_samples.append(
-                    (now, node.node_id, node.used_memory_mb)
-                )
-            sandbox = _Sandbox(
-                sandbox_id=self._sandbox_n,
-                workload_id=workload_id,
-                memory_mb=profile.memory_mb,
-            )
-            self._sandbox_n += 1
-            if self.tracer is not None:
-                self._trace("sandbox_created", node.node_id, workload_id)
-            start = now + self.cold_start_model(profile)
-            cold = True
-
-        service_s = profile.runtime_ms / 1e3
-        if self._lognorm is not None:
-            sigma, mu = self._lognorm
-            service_s *= float(self._rng.lognormal(mu, sigma))
-        preemptions = 0
-        cpu = self.cpu
-        if cpu is not None:
-            # run-queue-aware dilation, fixed at admission time
-            policy = cpu.policy
-            w = policy.weight(workload_id)
-            dilated, preemptions = policy.contend(
-                service_s,
-                cores=cpu.cores,
-                quantum_s=cpu.quantum_s,
-                concurrent=node.busy_count + 1,
-                weight=w,
-                total_weight=node.cpu_weight + w,
-            )
-            if dilated > service_s and self.tracer is not None:
-                self._trace("invocation_contended", node.node_id,
-                            workload_id)
-            service_s = dilated
-            node.cpu_weight += w
-        end = start + service_s
-        ok = True
-        if self.fault_hook is not None:
-            frac = self.fault_hook.crash_fraction(
-                now, node.node_id, workload_id
-            )
-            if frac is not None:
-                end = start + service_s * min(max(frac, 0.0), 1.0)
-                ok = False
-        node.busy_count += 1
-        self._record(workload_id, node.node_id, arrival_s, start, end,
-                     cold, ok, preemptions)
-        # Events carry the Node object itself: under autoscaling the
-        # nodes list mutates, so positional ids are not stable handles.
-        seq = self._seq_n
-        self._seq_n = seq + 1
-        heapq.heappush(
-            self._heap, (end, seq, "end" if ok else "crash", (node, sandbox))
-        )
-        return True
-
-    def _on_completion(self, now: float, node: Node,
-                       sandbox: _Sandbox) -> None:
-        node.busy_count -= 1
-        if self.cpu is not None:
-            node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
-        sandbox.idle_since = now
-        node.push_idle(sandbox)
-        ttl = self.keepalive.ttl_s(sandbox.workload_id)
-        if ttl <= 0:
-            node.remove_idle(sandbox)
-        else:
-            # the deadline takes the sequence number its own event would
-            # have, so every other event keeps its key
-            when = now + ttl
-            seq = self._seq_n
-            self._seq_n = seq + 1
-            sandbox.expire_at = when
-            sandbox.expire_seq = seq
-            if when > self._last_deadline:
-                self._last_deadline = when
-            if when < sandbox.queued_at:
-                self._queue_expiry(node, sandbox, when, seq)
-        if node.pending:
-            self._serve_pending(node)
-
-    def _on_crash(self, now: float, node: Node,
-                  sandbox: _Sandbox) -> None:
-        """The sandbox died mid-invocation: destroy it outright."""
-        del now
-        node.busy_count -= 1
-        if self.cpu is not None:
-            node.cpu_weight -= self.cpu.policy.weight(sandbox.workload_id)
-        node.used_memory_mb -= sandbox.memory_mb
-        if self.tracer is not None:
-            self._trace("sandbox_crashed", node.node_id,
-                        sandbox.workload_id)
-        if self.track_memory:
-            self.memory_samples.append(
-                (self._clock, node.node_id, node.used_memory_mb)
-            )
-        self._serve_pending(node)
-
     def _queue_expiry(self, node: Node, sandbox: _Sandbox, when: float,
                       seq: int) -> None:
         """Push ``(when, seq)`` as the sandbox's one live expiry event."""
         sandbox.queued_at = when
         sandbox.queued_seq = seq
-        heapq.heappush(self._heap, (when, seq, "expire", (node, sandbox)))
-
-    def _on_expiry(self, seq: int, node: Node, sandbox: _Sandbox) -> None:
-        if seq != sandbox.queued_seq:
-            return  # superseded by an earlier deadline
-        pending = sandbox.expire_seq
-        if seq != pending:
-            if pending < 0:  # busy, evicted or crashed since
-                sandbox.queued_at, sandbox.queued_seq = _INF, -1
-            else:  # idled again since: re-arm at the pending deadline
-                self._queue_expiry(node, sandbox, sandbox.expire_at, pending)
-            return
-        node.remove_idle(sandbox)
-        if self.tracer is not None:
-            self._trace("sandbox_expired", node.node_id,
-                        sandbox.workload_id)
-        if self.track_memory:
-            self.memory_samples.append(
-                (self._clock, node.node_id, node.used_memory_mb)
-            )
-        if node.pending:
-            self._serve_pending(node)
-
-    def _serve_pending(self, node: Node) -> None:
-        pending = node.pending
-        while pending:
-            arrival_s, workload_id = pending[0]
-            if (
-                self.queue_timeout_s is not None
-                and self._clock - arrival_s > self.queue_timeout_s
-            ):
-                self.dropped.append(pending.popleft())
-                self._trace("request_dropped", node.node_id, workload_id)
-                continue
-            if not self._try_start(node, arrival_s, workload_id):
-                return
-            pending.popleft()
+        heapq.heappush(self._heap, (when, seq, "expire", node, sandbox))

@@ -38,6 +38,7 @@ from typing import Any
 from repro.platform.metrics import InvocationRecord
 from repro.platform.simcore import _Sandbox as _Sandbox
 from repro.platform.simcore import (
+    _RECORD_ROW,
     Node,
     WorkloadProfile,
     _ScalarCluster,
@@ -69,25 +70,24 @@ class ObjectFaaSCluster(_ScalarCluster):
         self, profiles: dict[str, WorkloadProfile], **knobs: Any
     ) -> None:
         super().__init__(profiles, **knobs)
-        self.records: list[InvocationRecord] = []
+        self._records: list[InvocationRecord] = []
+
+    @property
+    def records(self) -> list[InvocationRecord]:
+        """The run's records so far, as one list extended in place."""
+        self._flush_rows()
+        return self._records
 
     def drain(self) -> list[InvocationRecord]:
         self._drain_events()
-        self._drain_telemetry(len(self.records))
-        return self.records
+        self._drain_telemetry(len(self._records))
+        return self._records
 
-    def _record(
-        self,
-        workload_id: str,
-        node_id: int,
-        arrival_s: float,
-        start_s: float,
-        end_s: float,
-        cold: bool,
-        ok: bool,
-        preemptions: int,
-    ) -> None:
-        self.records.append(InvocationRecord(
-            workload_id, node_id, arrival_s, start_s, end_s, cold, ok,
-            preemptions,
-        ))
+    def _flush_rows(self) -> None:
+        rows = self._rows
+        words = list(self.profiles)
+        self._records.extend([
+            InvocationRecord(words[w], *fields)
+            for w, *fields in _RECORD_ROW.iter_unpack(b"".join(rows))
+        ])
+        rows.clear()

@@ -75,6 +75,7 @@ from repro.platform.simcore import (
     Node,
     Scheduler,
     WorkloadProfile,
+    _RECORD_DTYPE,
     _Sandbox,
     _ScalarCluster,
     default_cold_start_s,
@@ -129,7 +130,11 @@ _PURE_SINGLE_NODE_SCHEDULERS = (
 # columnar record storage
 # ----------------------------------------------------------------------
 class _RecordStore:
-    """Growable struct-of-arrays record buffer with a string vocabulary."""
+    """Growable struct-of-arrays record buffer with a string vocabulary.
+
+    The scalar loop's packed rows arrive in blocks (:meth:`append_rows`),
+    bulk slabs as arrays (:meth:`extend`).
+    """
 
     __slots__ = (
         "n", "code", "node", "arrival", "start", "end", "cold", "ok",
@@ -171,33 +176,27 @@ class _RecordStore:
             grown[: self.n] = old[: self.n]
             setattr(self, name, grown)
 
-    def append(
-        self,
-        workload_id: str,
-        node_id: int,
-        arrival_s: float,
-        start_s: float,
-        end_s: float,
-        cold: bool,
-        ok: bool,
-        preempt: int,
-    ) -> None:
-        """One row from the scalar loop (``FaaSCluster``'s record sink)."""
-        code = self.vocab.get(workload_id)
-        if code is None:
-            code = self.code_for(workload_id)
-        i = self.n
-        if i == self.code.size:
-            self._reserve(i + 1)
-        self.code[i] = code
-        self.node[i] = node_id
-        self.arrival[i] = arrival_s
-        self.start[i] = start_s
-        self.end[i] = end_s
-        self.cold[i] = cold
-        self.ok[i] = ok
-        self.preempt[i] = preempt
-        self.n = i + 1
+    def append_rows(self, rows: list[bytes], words: list[str]) -> None:
+        """Move the scalar loop's packed rows into the columns, in order,
+        and empty the buffer; ``words`` names each row's workload
+        position."""
+        block = np.frombuffer(b"".join(rows), _RECORD_DTYPE)
+        rows.clear()
+        n = int(block.size)
+        position = block["position"]
+        seen, first = np.unique(position, return_index=True)
+        codes = np.empty(len(words), np.int32)
+        # new words take codes in order of first appearance
+        for i in seen[np.argsort(first)].tolist():
+            codes[i] = self.code_for(words[i])
+        n0 = self.n
+        n1 = n0 + n
+        self._reserve(n1)
+        self.code[n0:n1] = codes[position]
+        for name in ("node", "arrival", "start", "end", "cold", "ok",
+                     "preempt"):
+            getattr(self, name)[n0:n1] = block[name]
+        self.n = n1
 
     def extend(
         self,
@@ -477,7 +476,6 @@ class FaaSCluster(_ScalarCluster):
         self._store = _RecordStore()
         self._records_list: list[InvocationRecord] = []
         self._tail: _BulkTail | None = None
-        self._record = self._store.append
 
     # ------------------------------------------------------------------
     # Backend protocol
@@ -487,7 +485,7 @@ class FaaSCluster(_ScalarCluster):
         outstanding bulk carry into ordinary heap events."""
         if self._tail is not None:
             self._materialize_tail()
-        _ScalarCluster.invoke(self, timestamp_s, workload_id)
+        self._send((timestamp_s, workload_id))
 
     def invoke_many(
         self,
@@ -556,6 +554,7 @@ class FaaSCluster(_ScalarCluster):
         returns the *same* list (decorators rely on the identity), with
         any new rows appended.
         """
+        self._flush_rows()
         store = self._store
         out = self._records_list
         lo, hi = len(out), store.n
@@ -569,7 +568,12 @@ class FaaSCluster(_ScalarCluster):
 
     def record_columns(self) -> RecordColumns:
         """Columnar snapshot of the records appended so far."""
+        self._flush_rows()
         return self._store.columns()
+
+    def _flush_rows(self) -> None:
+        if self._rows:
+            self._store.append_rows(self._rows, list(self.profiles))
 
     # ------------------------------------------------------------------
     # bulk fast path
@@ -718,6 +722,10 @@ class FaaSCluster(_ScalarCluster):
         return ok
 
     def _store_codes(self) -> npt.NDArray[np.int32]:
+        """The store's code per profile, in profile order; buffered
+        scalar rows are flushed first, so they keep their codes and
+        precede the bulk rows."""
+        self._flush_rows()
         store = self._store
         return np.fromiter(
             (store.code_for(w) for w in self.profiles),
@@ -1086,14 +1094,18 @@ class FaaSCluster(_ScalarCluster):
         workload_ids: Sequence[str],
     ) -> None:
         """Run a non-empty slab through the scalar loop: any bulk carry
-        is materialised once, then each element goes through the loop's
-        own checked ``invoke``, so errors and partial state are the
-        per-element loop's by construction."""
+        is materialised once, then each element is one row sent to the
+        resident loop, the same body :meth:`invoke` uses, so errors and
+        partial state are the per-element loop's by construction."""
         if self._tail is not None:
             self._materialize_tail()
-        invoke = _ScalarCluster.invoke
-        for t, w in zip(ts.tolist(), workload_ids):
-            invoke(self, t, w)
+        send = (self._loop or self._start_loop()).send
+        try:
+            for row in zip(ts.tolist(), workload_ids):
+                send(row)
+        except BaseException:
+            self._loop = None
+            raise
 
     def _materialize_tail(self) -> None:
         """Turn a bulk carry into ordinary heap events and node state so
@@ -1117,16 +1129,18 @@ class FaaSCluster(_ScalarCluster):
                     float(tail.ends[j]),
                     int(tail.seqs[j]),
                     "end",
-                    (node, sandbox),
+                    node,
+                    sandbox,
                 ),
             )
         if not tail.idle_from.size:
             return
         # Warm idle sandboxes: rebuild each node's per-workload stacks
         # in the scalar loop's dict-key creation order (lru_idle
-        # tie-breaks on it), each stack in append order.  Each one's
-        # pending deadline is also its one queued expiry event, under
-        # its original sequence number, so a later reuse, eviction or
+        # tie-breaks on it), each stack in append order, then put each
+        # node's LRU index in idle-time order.  Each one's pending
+        # deadline is also its one queued expiry event, under its
+        # original sequence number, so a later reuse, eviction or
         # re-idle handles it exactly like the scalar bookkeeping.
         mo = np.lexsort((
             tail.idle_order, tail.idle_from,
@@ -1145,6 +1159,8 @@ class FaaSCluster(_ScalarCluster):
             node.push_idle(sandbox)
             self._queue_expiry(node, sandbox, sandbox.expire_at,
                                sandbox.expire_seq)
+        for b in np.unique(tail.idle_node).tolist():
+            self.nodes[b].sort_lru()
 
     def _finish(self) -> None:
         """Turn any bulk carry into heap events, then the shared drain."""

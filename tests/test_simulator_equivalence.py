@@ -17,7 +17,10 @@ RNG-bearing scheduler between runs would compare a run against its own
 side effects.
 """
 
+import gc
+import itertools
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -48,6 +51,7 @@ from repro.platform import (
     summarize,
     summarize_columns,
 )
+from repro.platform.simcore import _FLUSH_ROWS, Node, _Sandbox
 from repro.telemetry import MetricsRegistry, use
 
 SEEDS = (0, 1, 2)
@@ -1367,3 +1371,229 @@ def test_cpu_contended_trace_event_matches_engines():
     ref, vec = run(ObjectFaaSCluster), run(FaaSCluster)
     assert vec == ref
     assert any(e.kind == "invocation_contended" for e in ref)
+
+
+# ---------------------------------------------------------------------------
+# the resident loop: LRU index, restart after an error, lifetime
+# ---------------------------------------------------------------------------
+def _linear_lru(node):
+    """The LRU rule as a full scan: the strictly smallest ``idle_since``
+    over every idle stack, in workload-key order, each bottom to top, so
+    ties go to the first sandbox scanned."""
+    best = None
+    for stack in node.idle.values():
+        for sandbox in stack:
+            if best is None or sandbox.idle_since < best.idle_since:
+                best = sandbox
+    return best
+
+
+def _check_lru_index(node, victim):
+    """The index holds exactly the idle sandboxes, in idle-time order,
+    and ``victim`` (its pick) is the scan's; returns whether the head
+    was tied."""
+    idle = [sb for stack in node.idle.values() for sb in stack]
+    index = list(node.idle_lru)
+    assert len(index) == len(idle) == node.idle_count
+    assert set(map(id, index)) == set(map(id, idle))
+    times = [sb.idle_since for sb in index]
+    assert times == sorted(times)
+    assert victim is _linear_lru(node)
+    return len(times) > 1 and times[0] == times[1]
+
+
+def test_lru_victim_matches_linear_scan():
+    """Random push / reuse / evict / expire / retire sequences on one
+    node, pushes often at an unchanged clock (equal ``idle_since``), and
+    bulk-carry style batches pushed in stack order then re-sorted: the
+    index's victim is always the full scan's."""
+    words = ["a", "b", "c", "d"]
+    ops = ["push", "push", "push", "reuse", "evict", "expire", "carry",
+           "retire"]
+    tied = tie_not_head = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        node = Node(0, 1e9)
+        ids = itertools.count()
+        clock = 0.0
+        for _ in range(150):
+            op = ops[int(rng.integers(len(ops)))]
+            if op == "carry" and not node.idle_lru:
+                # a materialised carry: stacks in creation order, each in
+                # append order, with idle times not in push order
+                for word in rng.permutation(words)[:3].tolist():
+                    ages = np.sort(rng.choice([0.0, 0.5, 1.0], 3))[::-1]
+                    for age in ages.tolist():
+                        node.push_idle(_Sandbox(next(ids), word, 1.0,
+                                                idle_since=clock - age))
+                node.sort_lru()
+            elif op in ("push", "carry"):
+                clock += float(rng.choice([0.0, 0.0, 0.5]))
+                word = words[int(rng.integers(len(words)))]
+                node.push_idle(_Sandbox(next(ids), word, 1.0,
+                                        idle_since=clock))
+            elif op == "reuse" and node.idle:
+                word = list(node.idle)[int(rng.integers(len(node.idle)))]
+                top = node.idle[word][-1]
+                assert node.pop_idle(word) is top
+            elif op == "evict":
+                victim = node.lru_idle()
+                if victim is not None:
+                    head = next(iter(node.idle_lru))
+                    tie_not_head += victim is not head
+                    node.remove_idle(victim)
+            elif op == "expire" and node.idle_lru:
+                index = list(node.idle_lru)
+                node.remove_idle(index[int(rng.integers(len(index)))])
+            elif op == "retire":
+                for stack in list(node.idle.values()):
+                    for sandbox in list(stack):
+                        node.remove_idle(sandbox)
+            tied += _check_lru_index(node, node.lru_idle())
+        assert node.pop_idle("not-idle") is None
+    # the tie rule must actually have been exercised, including ties
+    # whose winner is not the index's head
+    assert tied > 0 and tie_not_head > 0
+
+
+def _tie_profiles():
+    # 125 MiB: the default cold start is exactly 0.25 s; equal runtimes
+    # make sandboxes of different workloads idle at equal times
+    return {
+        f"w{i}": WorkloadProfile(f"w{i}", runtime_ms=250.0, memory_mb=125.0)
+        for i in range(8)
+    }
+
+
+@pytest.mark.parametrize("config", ["carry", "autoscale"])
+def test_lru_index_inside_the_loop_matches_linear_scan(config, monkeypatch):
+    """Every eviction the loop makes picks the full scan's victim, after
+    a materialised bulk carry with tied idle times and under autoscaler
+    retirement, and the run equals the reference engine's."""
+    rng = np.random.default_rng(3)
+    grid = 0.25  # every time below is an exact binary float
+    head_ts = np.sort(rng.integers(0, 40, 12)) * grid
+    # bursts of four simultaneous requests: their sandboxes idle together
+    tail_ts = 12.0 + np.repeat(np.arange(100.0), 4) * grid
+    words = list(_tie_profiles())
+    head_w = [words[int(i)] for i in rng.integers(0, 4, head_ts.size)]
+    tail_w = [words[int(i)] for i in rng.integers(0, 8, tail_ts.size)]
+    checked = {"evictions": 0, "ties": 0}
+    lru_idle = Node.lru_idle
+
+    def checked_lru_idle(node):
+        victim = lru_idle(node)
+        checked["ties"] += _check_lru_index(node, victim)
+        checked["evictions"] += 1
+        return victim
+
+    monkeypatch.setattr(Node, "lru_idle", checked_lru_idle)
+
+    def build(cls):
+        knobs = dict(n_nodes=1, node_memory_mb=125.0 * 6,
+                     keepalive=FixedKeepAlive(30.0), queue_timeout_s=2.0)
+        if config == "autoscale":
+            knobs.update(n_nodes=2, autoscaler=ReactiveAutoscaler(
+                min_nodes=1, max_nodes=3, target_busy_per_node=2.0,
+                evaluate_every_s=0.5, scale_down_grace_s=1.0,
+            ))
+        return cls(_tie_profiles(), **knobs)
+
+    ref, vec = build(ObjectFaaSCluster), build(FaaSCluster)
+    for t, w in zip(np.concatenate((head_ts, tail_ts)).tolist(),
+                    head_w + tail_w):
+        ref.invoke(t, w)
+    vec.invoke_many(head_ts, head_w)
+    if config == "carry":
+        assert vec._tail is not None and vec._tail.idle_from.size > 0
+    vec.invoke_many(tail_ts, tail_w)
+    assert vec.drain() == ref.drain()
+    assert vec.dropped == ref.dropped
+    assert checked["evictions"] > 0 and checked["ties"] > 0
+
+
+def _error_load():
+    """Three slabs; the first holds an unknown id mid-slab, the second
+    a timestamp behind the clock mid-slab."""
+    k = _FLUSH_ROWS
+    ts, wids = make_load(8, n=3 * k, horizon_s=300.0)
+    wids[k // 2] = "not-a-workload"
+    behind = k + k // 3
+    ts[behind] = ts[behind - 1] - 1.0
+    return [(ts[lo:lo + k], wids[lo:lo + k]) for lo in (0, k, 2 * k)]
+
+
+@pytest.mark.parametrize("sched", ["least-loaded", "random"])
+def test_loop_restarts_after_error_mid_slab_and_per_element(sched):
+    """An error raised inside the resident loop -- in a slab, then again
+    per element -- drops the loop; later submissions start a fresh one
+    from the cluster's state, and the run equals the reference engine's,
+    which takes every request one at a time."""
+    first, second, third = _error_load()
+    scheduler = {"least-loaded": LeastLoadedScheduler,
+                 "random": lambda: RandomScheduler(seed=4)}[sched]
+
+    def build(cls):
+        return cls(make_profiles(), n_nodes=3, node_memory_mb=2048.0,
+                   keepalive=FixedKeepAlive(2.0), scheduler=scheduler(),
+                   service_time_cv=0.3, seed=2)
+
+    def per_element(cluster, slab, stop_at_error):
+        errors = []
+        for t, w in zip(slab[0].tolist(), slab[1]):
+            try:
+                cluster.invoke(t, w)
+            except (KeyError, ValueError) as exc:
+                errors.append(type(exc))
+                if stop_at_error:
+                    break
+        return errors
+
+    ref = build(ObjectFaaSCluster)
+    assert per_element(ref, first, True) == [KeyError]
+    assert per_element(ref, second, False) == [ValueError]
+    per_element(ref, third, False)
+
+    vec = build(FaaSCluster)
+    with pytest.raises(KeyError):
+        vec.invoke_many(*first)
+    assert vec._loop is None
+    mid = vec.record_columns()  # buffered rows are flushed for a read
+    assert len(mid) == vec._store.n and not vec._rows
+    assert per_element(vec, second, False) == [ValueError]
+    vec.invoke_many(*third)
+    assert vec.drain() == ref.drain()
+    assert vec.clock_s == ref.clock_s
+    assert vec.dropped == ref.dropped
+    assert [(n.used_memory_mb, n.busy_count, n.idle_count)
+            for n in vec.nodes] == [
+        (n.used_memory_mb, n.busy_count, n.idle_count) for n in ref.nodes]
+
+
+@pytest.mark.parametrize("cls", [ObjectFaaSCluster, FaaSCluster])
+@pytest.mark.parametrize("ending", ["drain", "error"])
+def test_dead_cluster_is_freed_by_del_alone(cls, ending):
+    """The resident loop references its cluster, so it must not outlive
+    a drain (or an error that escaped it): with the cyclic collector
+    off, dropping the last reference frees the cluster."""
+    ts, wids = make_load(1, n=200)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cluster = cls(make_profiles(), n_nodes=2,
+                      keepalive=FixedKeepAlive(1.0))
+        for t, w in zip(ts.tolist(), wids):
+            cluster.invoke(t, w)
+        assert cluster._loop is not None
+        if ending == "drain":
+            cluster.drain()
+        else:
+            with pytest.raises(ValueError):
+                cluster.invoke(0.0, wids[0])
+        assert cluster._loop is None
+        alive = weakref.ref(cluster)
+        del cluster
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()
