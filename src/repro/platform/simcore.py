@@ -40,7 +40,7 @@ _INF = float("inf")
 
 #: One request row sent into the scalar loop: ``(timestamp_s,
 #: workload_id)``; a ``None`` workload id asks for a drain.
-_Row = tuple[float, "str | None"]
+_Row = tuple[float, str | None]
 #: One started invocation as the loop buffers it, packed: the
 #: workload's position in the cluster's profiles, node id, arrival,
 #: start and end times, cold, ok and preemptions.  ``_RECORD_DTYPE`` is
@@ -200,8 +200,10 @@ class Node:
 
     def sort_lru(self) -> None:
         """Put the LRU index back in ``idle_since`` order (stable)."""
-        self.idle_lru = OrderedDict.fromkeys(
-            sorted(self.idle_lru, key=attrgetter("idle_since"))
+        self.idle_lru = OrderedDict(
+            (sandbox, None)
+            for sandbox in sorted(self.idle_lru,
+                                  key=attrgetter("idle_since"))
         )
 
     def lru_idle(self) -> _Sandbox | None:
