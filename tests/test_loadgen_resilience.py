@@ -289,6 +289,16 @@ class TestOutcomeMetrics:
         with pytest.raises(ValueError, match="no outcomes"):
             result.outcome_counts()
 
+    def test_paced_plain_replay_raises_backend_errors(self):
+        # without retry/breaker/checkpoint a paced replay has no outcome
+        # taxonomy: a backend failure propagates, a clean run records none
+        trace = make_trace(n=20, horizon=1.0)
+        with pytest.raises(RuntimeError, match="always down"):
+            replay(trace, _DeadBackend(), speed=1e6)
+        clean = replay(trace, _FlakyBackend(fail_first=0), speed=1e6)
+        assert clean.outcomes is None
+        assert clean.attempts is None
+
 
 class TestCheckpoints:
     def test_save_load_round_trip(self, tmp_path):
@@ -312,9 +322,13 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="different trace"):
             load_checkpoint(path, (11, 0.0, 9.0))
 
-    def test_killed_replay_resumes_to_identical_result(self, tmp_path):
+    @pytest.mark.parametrize("speed", [float("inf"), 1e6],
+                             ids=["unpaced", "paced"])
+    def test_killed_replay_resumes_to_identical_result(self, tmp_path,
+                                                        speed):
         """Acceptance: kill at a checkpoint boundary, resume, and get the
-        same final records and outcomes as an uninterrupted run."""
+        same final records and outcomes as an uninterrupted run, whether
+        or not the replay paces its submissions."""
         trace = make_trace(n=400, horizon=120.0)
         policy = RetryPolicy(max_attempts=3, seed=5)
 
@@ -326,7 +340,7 @@ class TestCheckpoints:
             return FaultyBackend(
                 cluster, FaultProfile(error_rate=0.05, seed=5))
 
-        reference = replay(trace, make_backend(), retry=policy)
+        reference = replay(trace, make_backend(), retry=policy, speed=speed)
 
         class _KillAtRequest:
             """Client dies when request number ``n`` is submitted."""
@@ -349,12 +363,12 @@ class TestCheckpoints:
         backend = make_backend()
         with pytest.raises(KeyboardInterrupt):
             replay(trace, _KillAtRequest(backend, 200), retry=policy,
-                   checkpoint_path=path, checkpoint_every=100)
+                   checkpoint_path=path, checkpoint_every=100, speed=speed)
         # the backend (the "cluster") survived the client's death;
         # resume from the checkpoint with the same backend state
         resumed = replay(trace, backend, retry=policy,
                          checkpoint_path=path, checkpoint_every=100,
-                         resume=True)
+                         resume=True, speed=speed)
         assert resumed.outcomes.tobytes() == reference.outcomes.tobytes()
         assert resumed.attempts.tobytes() == reference.attempts.tobytes()
         assert resumed.records == reference.records
