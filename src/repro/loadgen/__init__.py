@@ -24,7 +24,6 @@ from repro.loadgen.resilience import (
 from repro.loadgen.service import (
     BreakerSpec,
     CoverageReport,
-    CrashPoint,
     ServiceConfig,
     ServiceError,
     ServiceFaultPlan,
@@ -38,7 +37,6 @@ __all__ = [
     "BreakerSpec",
     "CircuitBreaker",
     "CoverageReport",
-    "CrashPoint",
     "OUTCOMES",
     "ReplayResult",
     "RequestTrace",

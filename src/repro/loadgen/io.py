@@ -95,7 +95,7 @@ def save_request_trace_npz(trace: RequestTrace, path: Path | str) -> None:
     np.savez_compressed(
         Path(path),
         timestamps_s=trace.timestamps_s,
-        workload_ids=trace.workload_ids.astype(str),
+        workload_ids=trace.workload_ids,
         function_ids=trace.function_ids.astype(str),
         runtimes_ms=trace.runtimes_ms,
         families=trace.families.astype(str),

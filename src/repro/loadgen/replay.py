@@ -5,21 +5,21 @@ simulator (:mod:`repro.platform`) and the in-process live executor satisfy
 it; the replayer itself is backend-agnostic, as in the paper's design
 ("replay such specifications against a backend FaaS system").
 
-Two execution paths share one entry point:
+One per-request loop serves every paced or resilient replay.  Per
+request it paces (finite ``speed`` only), then submits: a bare
+``backend.invoke`` when no resilience option is set, so a backend
+failure propagates; otherwise
+:func:`~repro.loadgen.resilience.deliver`, which applies the
+:class:`~repro.loadgen.resilience.RetryPolicy` and
+:class:`~repro.loadgen.resilience.CircuitBreaker` and returns a
+per-request outcome from the :data:`~repro.loadgen.resilience.OUTCOMES`
+taxonomy.  The loop records that outcome, feeds the drift monitor and
+periodically checkpoints progress so a killed replay can resume.  The
+load service (:mod:`repro.loadgen.service`) calls the same ``deliver``.
 
-- the **fast path** (no resilience options) is a bare submission loop,
-  tuned for simulator throughput -- per-request type conversions are
-  hoisted out of the loop;
-- the **resilient path** (any of ``retry`` / ``breaker`` /
-  ``checkpoint_path`` set) hands each request to
-  :func:`~repro.loadgen.resilience.deliver`, which applies the
-  :class:`~repro.loadgen.resilience.RetryPolicy` and
-  :class:`~repro.loadgen.resilience.CircuitBreaker` and returns a
-  per-request outcome from the
-  :data:`~repro.loadgen.resilience.OUTCOMES` taxonomy; the path records
-  it and periodically checkpoints progress so a killed replay can
-  resume.  The load service (:mod:`repro.loadgen.service`) calls the
-  same function.
+An unpaced replay without resilience options skips the loop: it hands
+the whole trace to the backend's ``invoke_many`` when its type defines
+one, else runs a bare submission loop, tuned for simulator throughput.
 """
 
 from __future__ import annotations
@@ -156,8 +156,8 @@ def _drain_records(backend: Backend) -> Sequence:
 class ReplayResult:
     """Outcome of one replay run.
 
-    ``outcomes`` and ``attempts`` are populated only by the resilient
-    path: one outcome code (index into
+    ``outcomes`` and ``attempts`` are populated only when a resilience
+    option is set: one outcome code (index into
     :data:`~repro.loadgen.resilience.OUTCOMES`) and one attempt count per
     trace request, in trace order.
     """
@@ -257,13 +257,15 @@ def replay(
         replayed requests' expected durations in arrival order, so
         representativeness regressions (e.g. a mis-mapped workload pool)
         emit ``drift_warning`` events during the run.  Paced (finite
-        ``speed``) and resilient replays observe request-by-request; the
-        infinite-speed fast path observes in one vectorised pass so the
-        bare submission loop stays untouched.
+        ``speed``) and resilient replays observe request-by-request; an
+        unpaced replay without resilience options observes in one
+        vectorised pass so the bare submission loop stays untouched.
 
-    Any of ``retry`` / ``breaker`` / ``checkpoint_path`` switches to the
-    resilient path: invocation failures no longer propagate, and the
-    result carries per-request ``outcomes`` and ``attempts``.
+    Any of ``retry`` / ``breaker`` / ``checkpoint_path`` makes the
+    per-request loop submit through
+    :func:`~repro.loadgen.resilience.deliver`: invocation failures no
+    longer propagate, and the result carries per-request ``outcomes``
+    and ``attempts``.
 
     When telemetry is enabled (:func:`repro.telemetry.enable`), every
     replay also folds per-window request counts, the inter-arrival
@@ -277,36 +279,16 @@ def replay(
         raise ValueError("checkpoint_every must be positive")
     resilient = (retry is not None or breaker is not None
                  or checkpoint_path is not None)
+    pace = bool(np.isfinite(speed))
     # hoist per-request conversions out of the hot loop: one vectorised
-    # pass instead of n_requests float()/str() calls.  Timestamps are
+    # pass instead of n_requests float() calls.  Timestamps are
     # converted only where a per-request loop reads them; a batched
     # backend takes the array itself.
-    workload_ids = [str(w) for w in trace.workload_ids.tolist()]
-    if resilient:
-        result = _replay_resilient(
-            trace, backend, trace.timestamps_s.tolist(), workload_ids,
-            speed=speed,
-            retry=retry, breaker=breaker, checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every, resume=resume, drift=drift,
-        )
-        reg = _telemetry.active()
-        if reg is not None:
-            _record_replay_telemetry(reg, trace, result, breaker)
-        return result
-    # the pacer reads every timestamp: convert them before its clock starts
-    timestamps = trace.timestamps_s.tolist() if np.isfinite(speed) else None
-    t_start = time.perf_counter()  # repro: allow-wall-clock
-    if timestamps is not None:
-        runtimes = trace.runtimes_ms.tolist() if drift is not None else None
-        for i, (ts, wid) in enumerate(zip(timestamps, workload_ids)):
-            # repro: allow-wall-clock (pacer: real time is the point)
-            delay = t_start + ts / speed - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            backend.invoke(ts, wid)
-            if runtimes is not None:
-                drift.observe(runtimes[i], ts)
-    else:
+    workload_ids = trace.workload_ids.tolist()
+    n = trace.n_requests
+    outcomes = attempts = None
+    if not (pace or resilient):
+        t_start = time.perf_counter()  # repro: allow-wall-clock
         # Batched dispatch when the backend supports it (the array-native
         # simulator and any decorator that *explicitly* implements it).
         # Looked up on the type, not the instance: a decorator that only
@@ -321,80 +303,60 @@ def replay(
                 invoke(ts, wid)
         if drift is not None:
             drift.observe_many(trace.runtimes_ms, trace.timestamps_s)
+    else:
+        timestamps = trace.timestamps_s.tolist()
+        runtimes = trace.runtimes_ms.tolist() if drift is not None else None
+        start = 0
+        if resilient:
+            fingerprint = (n, float(timestamps[0]), float(timestamps[-1]))
+            outcomes = np.zeros(n, dtype=np.uint8)
+            attempts = np.zeros(n, dtype=np.int32)
+            if (resume and checkpoint_path is not None
+                    and Path(checkpoint_path).exists()):
+                start, done_outcomes, done_attempts = load_checkpoint(
+                    checkpoint_path, fingerprint
+                )
+                outcomes[:start] = done_outcomes
+                attempts[:start] = done_attempts
+
+        def send(ts, wid, index, attempt, deadline_left_s):
+            backend.invoke(ts, wid)
+
+        # the pacer reads every timestamp: convert them before its clock
+        # starts
+        t_start = time.perf_counter()  # repro: allow-wall-clock
+        for i in range(start, n):
+            ts = timestamps[i]
+            if pace:
+                # repro: allow-wall-clock (pacer: real time is the point)
+                delay = t_start + ts / speed - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+            if outcomes is None:
+                backend.invoke(ts, workload_ids[i])
+            else:
+                outcomes[i], attempts[i] = deliver(
+                    send, ts, workload_ids[i], i, retry, breaker, speed)
+            if runtimes is not None:
+                drift.observe(runtimes[i], ts)
+            if checkpoint_path is not None and (i + 1) % checkpoint_every == 0:
+                save_checkpoint(checkpoint_path, offset=i + 1,
+                                outcomes=outcomes, attempts=attempts,
+                                trace_fingerprint=fingerprint)
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, offset=n, outcomes=outcomes,
+                            attempts=attempts, trace_fingerprint=fingerprint)
     if drift is not None:
         drift.flush()
     records = _drain_records(backend)
     result = ReplayResult(
-        n_requests=trace.n_requests,
-        wall_clock_s=time.perf_counter() - t_start,  # repro: allow-wall-clock
-        records=records,
-    )
-    reg = _telemetry.active()
-    if reg is not None:
-        _record_replay_telemetry(reg, trace, result, breaker=None)
-    return result
-
-
-def _replay_resilient(
-    trace: RequestTrace,
-    backend: Backend,
-    timestamps: list[float],
-    workload_ids: list[str],
-    *,
-    speed: float,
-    retry: RetryPolicy | None,
-    breaker: CircuitBreaker | None,
-    checkpoint_path: Path | str | None,
-    checkpoint_every: int,
-    resume: bool,
-    drift=None,
-) -> ReplayResult:
-    n = trace.n_requests
-    runtimes = trace.runtimes_ms.tolist() if drift is not None else None
-    fingerprint = (n, float(timestamps[0]), float(timestamps[-1]))
-    outcomes = np.zeros(n, dtype=np.uint8)
-    attempts = np.zeros(n, dtype=np.int32)
-    start = 0
-    if (resume and checkpoint_path is not None
-            and Path(checkpoint_path).exists()):
-        start, done_outcomes, done_attempts = load_checkpoint(
-            checkpoint_path, fingerprint
-        )
-        outcomes[:start] = done_outcomes
-        attempts[:start] = done_attempts
-
-    def send(ts, wid, index, attempt, deadline_left_s):
-        backend.invoke(ts, wid)
-
-    pace = np.isfinite(speed)
-    t_start = time.perf_counter()  # repro: allow-wall-clock
-
-    for i in range(start, n):
-        ts = timestamps[i]
-        if pace:
-            # repro: allow-wall-clock (pacer: real time is the point)
-            delay = t_start + ts / speed - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-        outcomes[i], attempts[i] = deliver(send, ts, workload_ids[i], i,
-                                           retry, breaker, speed)
-        if runtimes is not None:
-            drift.observe(runtimes[i], ts)
-        if checkpoint_path is not None and (i + 1) % checkpoint_every == 0:
-            save_checkpoint(checkpoint_path, offset=i + 1,
-                            outcomes=outcomes, attempts=attempts,
-                            trace_fingerprint=fingerprint)
-
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, offset=n, outcomes=outcomes,
-                        attempts=attempts, trace_fingerprint=fingerprint)
-    if drift is not None:
-        drift.flush()
-    records = _drain_records(backend)
-    return ReplayResult(
         n_requests=n,
         wall_clock_s=time.perf_counter() - t_start,  # repro: allow-wall-clock
         records=records,
         outcomes=outcomes,
         attempts=attempts,
     )
+    reg = _telemetry.active()
+    if reg is not None:
+        _record_replay_telemetry(reg, trace, result, breaker)
+    return result

@@ -20,7 +20,7 @@ class RequestTrace:
     timestamps_s:
         Ascending request times in seconds from experiment start.
     workload_ids:
-        Workload id per request.
+        Workload id per request, stored as a NumPy str array.
     function_ids:
         Originating (super-)Function id per request ("" where the mode has
         no Function notion, e.g. Smirnov samples).
@@ -47,6 +47,9 @@ class RequestTrace:
             if arr.shape != (n,):
                 raise ValueError(f"{name} must align with timestamps")
             setattr(self, name, arr)
+        # a str array's tolist() yields str, so replay loops convert ids
+        # in one pass
+        self.workload_ids = np.asarray(self.workload_ids, dtype=str)
         if not np.all(np.isfinite(self.timestamps_s)):
             raise ValueError("timestamps must be finite (no NaN/inf)")
         if np.any(np.diff(self.timestamps_s) < 0):

@@ -46,8 +46,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import signal
 import time
 import traceback
 from collections import deque
@@ -74,13 +72,16 @@ from repro.loadgen.resilience import (
     save_checkpoint,
 )
 from repro.parallel import DEFAULT_MAX_SHARDS, plan_shards
-from repro.platform.metrics import RecordColumns, RecordList
+from repro.platform.metrics import (
+    RecordColumns,
+    RecordList,
+    dispatch_lag_summary,
+)
 from repro.telemetry import registry as _telemetry
 
 __all__ = [
     "BreakerSpec",
     "CoverageReport",
-    "CrashPoint",
     "ServiceConfig",
     "ServiceError",
     "ServiceFaultPlan",
@@ -133,23 +134,6 @@ class BreakerSpec:
 
 
 @dataclass(frozen=True)
-class CrashPoint:
-    """Kill or hang the worker owning ``shard`` at global request
-    ``at_index`` -- once per service run (a sentinel file in the service
-    directory makes the injection one-shot, so the restarted shard runs
-    through).  ``mode`` is ``"sigkill"`` (hard crash) or ``"hang"``
-    (stop heartbeating; the supervisor must detect and kill it)."""
-
-    shard: int
-    at_index: int
-    mode: str = "sigkill"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("sigkill", "hang"):
-            raise ValueError("mode must be 'sigkill' or 'hang'")
-
-
-@dataclass(frozen=True)
 class ServiceFaultPlan:
     """Deterministic fault injection at the *service* boundary.
 
@@ -159,22 +143,15 @@ class ServiceFaultPlan:
     exactly the failures an uninterrupted run would have (unlike the
     sequential draw stream of
     :class:`~repro.platform.faults.FaultyBackend`, which is only
-    restart-stable for whole-trace replays).  ``worker_crash`` lists
-    :class:`CrashPoint` process-level faults for supervision tests.
+    restart-stable for whole-trace replays).
     """
 
     error_rate: float = 0.0
     seed: int = 0
-    worker_crash: tuple[CrashPoint, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0 <= self.error_rate <= 1:
             raise ValueError("error_rate must be in [0, 1]")
-        object.__setattr__(
-            self, "worker_crash",
-            tuple(cp if isinstance(cp, CrashPoint) else CrashPoint(**cp)
-                  for cp in self.worker_crash),
-        )
 
     def should_error(self, index: int, attempt: int) -> bool:
         """Does attempt ``attempt`` of global request ``index`` fail?"""
@@ -182,12 +159,6 @@ class ServiceFaultPlan:
             return False
         rng = np.random.default_rng([self.seed, index, attempt])
         return bool(rng.random() < self.error_rate)
-
-    def crash_for_shard(self, shard: int) -> CrashPoint | None:
-        for cp in self.worker_crash:
-            if cp.shard == shard:
-                return cp
-        return None
 
 
 @dataclass(frozen=True)
@@ -301,34 +272,19 @@ class CoverageReport:
         Path(path).write_text(json.dumps(self.as_dict(), indent=2) + "\n")
 
 
-@dataclass
-class ServiceResult:
-    """Everything one service run produced, reconciled in shard order."""
+@dataclass(kw_only=True)
+class ServiceResult(ReplayResult):
+    """Everything one service run produced, reconciled in shard order.
 
-    n_requests: int
-    wall_clock_s: float
-    outcomes: np.ndarray = field(repr=False)
-    attempts: np.ndarray = field(repr=False)
+    A :class:`~repro.loadgen.replay.ReplayResult` whose ``outcomes`` and
+    ``attempts`` are always set, so the replay summary helpers
+    (``outcome_summary``, telemetry post-passes) take it as is; the
+    service-only fields are keyword-only.
+    """
+
     lag_ms: np.ndarray = field(repr=False)
-    records: Sequence = field(repr=False)
     coverage: CoverageReport = field(repr=False)
     shard_bounds: list[tuple[int, int]] = field(repr=False)
-
-    def outcome_counts(self) -> dict[str, int]:
-        counts = np.bincount(self.outcomes, minlength=len(OUTCOMES))
-        return {name: int(counts[i]) for i, name in enumerate(OUTCOMES)}
-
-    def as_replay_result(self) -> ReplayResult:
-        """The classic single-process result view, for the existing
-        summary helpers (``outcome_summary``, ``record_outcome_metrics``,
-        telemetry post-passes)."""
-        return ReplayResult(
-            n_requests=self.n_requests,
-            wall_clock_s=self.wall_clock_s,
-            records=self.records,
-            outcomes=self.outcomes,
-            attempts=self.attempts,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -344,11 +300,7 @@ class _ShardWork:
     workload_ids: np.ndarray
     bounds: list[tuple[int, int]]
     epoch_wall_s: float
-    speed: float
-    max_lag_s: float | None
-    checkpoint_every: int
-    heartbeat_every: int
-    collect_records: bool
+    config: ServiceConfig
     service_dir: str
     backend_factory: Callable[[], Backend]
     retry: RetryPolicy | None
@@ -358,26 +310,6 @@ class _ShardWork:
 
 def _shard_checkpoint_path(service_dir: str, shard: int) -> Path:
     return Path(service_dir) / f"shard-{shard:04d}.npz"
-
-
-def _crash_sentinel(service_dir: str, shard: int) -> Path:
-    return Path(service_dir) / f"shard-{shard:04d}.crashed"
-
-
-def _maybe_trigger_crash(crash: CrashPoint | None, index: int,
-                         service_dir: str) -> None:
-    """One-shot process-level fault injection (SIGKILL or hang)."""
-    if crash is None or index != crash.at_index:
-        return
-    sentinel = _crash_sentinel(service_dir, crash.shard)
-    if sentinel.exists():
-        return
-    sentinel.touch()
-    if crash.mode == "sigkill":  # pragma: no cover - dies before report
-        os.kill(os.getpid(), signal.SIGKILL)
-    # "hang": stop making progress (and heartbeating) long enough that
-    # the supervisor's heartbeat timeout must fire and kill us.
-    time.sleep(3600.0)  # pragma: no cover
 
 
 def _sleep_until(target_wall_s: float, heartbeat, max_slice_s: float,
@@ -421,7 +353,7 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
     n_shard = hi - lo
     ts_all = work.timestamps
     timestamps = ts_all[lo:hi].tolist()
-    workload_ids = [str(w) for w in work.workload_ids[lo:hi].tolist()]
+    workload_ids = work.workload_ids[lo:hi].tolist()
     fingerprint = (n_shard, float(timestamps[0]), float(timestamps[-1]))
     shard_fp = (shard, lo, hi)
     ckpt = _shard_checkpoint_path(work.service_dir, shard)
@@ -444,8 +376,6 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
     breaker = (work.breaker_spec.make()
                if work.breaker_spec is not None else None)
     fault_plan = work.fault_plan
-    crash = (fault_plan.crash_for_shard(shard)
-             if fault_plan is not None else None)
     inject = (fault_plan is not None and fault_plan.error_rate > 0)
 
     invoke_at = getattr(backend, "invoke_at", None)
@@ -463,11 +393,12 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
             invoke_at(ts, wid, scheduled_wall_s=scheduled_wall,
                       deadline_s=deadline_left_s)
 
-    pace = np.isfinite(work.speed)
-    speed = work.speed
+    config = work.config
+    pace = np.isfinite(config.speed)
+    speed = config.speed
     epoch = work.epoch_wall_s
-    max_lag_s = work.max_lag_s
-    hb_every = work.heartbeat_every
+    max_lag_s = config.max_lag_s
+    hb_every = config.heartbeat_every
     hb_slice = 0.5
     shed_overload = 0
     shed_breaker = 0
@@ -477,7 +408,6 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
         ts = timestamps[j]
         if heartbeat is not None and j % hb_every == 0:
             heartbeat(j)
-        _maybe_trigger_crash(crash, i, work.service_dir)
         if pace:
             scheduled_wall = epoch + ts / speed
             _sleep_until(scheduled_wall, heartbeat, hb_slice)
@@ -498,7 +428,7 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
         attempts[j] = n_attempts
         if code == _SHED:  # overload sheds never reach deliver()
             shed_breaker += 1
-        if (j + 1) % work.checkpoint_every == 0:
+        if (j + 1) % config.checkpoint_every == 0:
             save_checkpoint(ckpt, offset=j + 1, outcomes=outcomes,
                             attempts=attempts,
                             trace_fingerprint=fingerprint,
@@ -507,7 +437,7 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
     save_checkpoint(ckpt, offset=n_shard, outcomes=outcomes,
                     attempts=attempts, trace_fingerprint=fingerprint,
                     shard=shard_fp)
-    records = _drain_records(backend) if work.collect_records else []
+    records = _drain_records(backend) if config.collect_records else []
     return {
         "shard": shard,
         "outcomes": outcomes,
@@ -574,9 +504,6 @@ def _prepare_service_dir(service_dir: Path, resume: bool) -> None:
     if not resume:
         for p in service_dir.glob("shard-*.npz"):
             p.unlink()
-    # crash sentinels are per-run fault-injection state, never resumed
-    for p in service_dir.glob("shard-*.crashed"):
-        p.unlink()
 
 
 def _supervise(work: _ShardWork, config: ServiceConfig,
@@ -793,17 +720,13 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
     digest = hashlib.sha256()
     digest.update(outcomes.tobytes())
     digest.update(attempts.tobytes())
-    # "late" uses the same 1 ms threshold as
-    # repro.platform.metrics.dispatch_lag_summary: every paced send has
-    # *some* measurable lag, so lag > 0 would always read 100%
-    late = lag_ms[lag_ms > 1.0]
-    lag_summary = {
-        "mean": float(lag_ms.mean()) if n else 0.0,
-        "max": float(lag_ms.max()) if n else 0.0,
-        "p99": float(np.percentile(lag_ms, 99)) if n else 0.0,
-        "late_fraction": float(late.size / n) if n else 0.0,
-    } if pace else {"mean": 0.0, "max": 0.0, "p99": 0.0,
-                    "late_fraction": 0.0}
+    lag_summary = dict.fromkeys(("mean", "max", "p99", "late_fraction"),
+                                0.0)
+    if pace:
+        lag = dispatch_lag_summary(lag_ms)
+        lag_summary.update(mean=lag["mean_ms"], max=lag["max_ms"],
+                           p99=lag["p99_ms"],
+                           late_fraction=lag["late_fraction"])
     coverage = CoverageReport(
         n_scheduled=n,
         n_shards=len(bounds),
@@ -861,9 +784,8 @@ def _record_service_telemetry(reg, trace: RequestTrace,
             "intended-vs-actual dispatch lag per request (ms)",
         ).observe_many(result.lag_ms)
     # the classic replay post-pass (per-window counts, inter-arrival
-    # histogram, outcome counters) applies unchanged to the merged view
-    _record_replay_telemetry(reg, trace, result.as_replay_result(),
-                             breaker=None)
+    # histogram, outcome counters) applies unchanged to the merged result
+    _record_replay_telemetry(reg, trace, result, breaker=None)
 
 
 # ----------------------------------------------------------------------
@@ -894,9 +816,8 @@ def run_service(
         process boundaries).  Use a module-level function or
         ``functools.partial`` over one.
     service_dir:
-        Directory for per-shard checkpoints, crash sentinels, and the
-        coverage report; cleared of stale checkpoints unless
-        ``resume=True``.
+        Directory for per-shard checkpoints and the coverage report;
+        cleared of stale checkpoints unless ``resume=True``.
     config / retry / breaker / fault_plan:
         Supervision + dispatch knobs, per-request retry policy,
         per-shard circuit-breaker recipe, and deterministic fault
@@ -924,11 +845,7 @@ def run_service(
         workload_ids=trace.workload_ids,
         bounds=bounds,
         epoch_wall_s=epoch,
-        speed=config.speed,
-        max_lag_s=config.max_lag_s,
-        checkpoint_every=config.checkpoint_every,
-        heartbeat_every=config.heartbeat_every,
-        collect_records=config.collect_records,
+        config=config,
         service_dir=str(service_dir),
         backend_factory=backend_factory,
         retry=retry,

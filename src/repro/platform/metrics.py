@@ -339,8 +339,9 @@ def per_workload_cold_rates(
 def outcome_summary(result) -> dict:
     """Resilient-replay outcome counters a fault-tolerance study reports.
 
-    Takes a :class:`~repro.loadgen.replay.ReplayResult` produced by the
-    resilient path.  ``delivered_fraction`` counts requests that reached
+    Takes a :class:`~repro.loadgen.replay.ReplayResult` that carries
+    outcomes: a replay with a resilience option set, or a
+    :class:`~repro.loadgen.service.ServiceResult`.  ``delivered_fraction`` counts requests that reached
     the backend and succeeded (``ok`` + ``retried``); ``failed`` groups
     everything else.
     """

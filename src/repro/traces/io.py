@@ -45,11 +45,6 @@ INVOCATIONS_FILE = "invocations_per_function.csv"
 DURATIONS_FILE = "function_durations.csv"
 MEMORY_FILE = "app_memory.csv"
 
-# Backwards-compatible aliases (pre-streaming these were module-private).
-_INVOCATIONS_FILE = INVOCATIONS_FILE
-_DURATIONS_FILE = DURATIONS_FILE
-_MEMORY_FILE = MEMORY_FILE
-
 
 def convert_count_row(
     values: list[str], path: Path | str, line: int

@@ -2,6 +2,8 @@
 
 import functools
 import json
+import os
+import signal
 import time
 import zlib
 
@@ -12,7 +14,6 @@ from repro.loadgen import RequestTrace
 from repro.loadgen.resilience import OUTCOME_CODES, RetryPolicy
 from repro.loadgen.service import (
     BreakerSpec,
-    CrashPoint,
     ServiceConfig,
     ServiceError,
     ServiceFaultPlan,
@@ -72,6 +73,35 @@ class _BrokenBackend:
         raise RuntimeError("factory always explodes")
 
 
+class _CrashOnce:
+    """Backend decorator that kills or hangs its worker process once.
+
+    When the request at ``at_ts`` is submitted and ``sentinel`` does not
+    exist yet, it creates the sentinel and then either SIGKILLs its own
+    process (``mode="sigkill"``) or stops making progress, and so stops
+    heartbeating (``mode="hang"``), until the supervisor kills it.  The
+    sentinel makes the fault one-shot, so the restarted shard runs
+    through.
+    """
+
+    def __init__(self, inner, at_ts, sentinel, mode):
+        self.inner = inner
+        self.at_ts = at_ts
+        self.sentinel = sentinel
+        self.mode = mode
+
+    def invoke(self, timestamp_s, workload_id):
+        if timestamp_s == self.at_ts and not self.sentinel.exists():
+            self.sentinel.touch()
+            if self.mode == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(3600.0)
+        self.inner.invoke(timestamp_s, workload_id)
+
+    def drain(self):
+        return self.inner.drain()
+
+
 # module-level factories: they must pickle into spawned workers
 def _null_factory():
     return _NullBackend()
@@ -89,6 +119,17 @@ def _broken_factory():
     return _BrokenBackend()
 
 
+def _crash_factory(inner_factory, at_ts, sentinel, mode="sigkill"):
+    return _CrashOnce(inner_factory(), at_ts, sentinel, mode)
+
+
+def _crashing(inner_factory, trace, at_index, tmp_path, mode="sigkill"):
+    """A factory whose backends crash once, on request ``at_index``."""
+    return functools.partial(_crash_factory, inner_factory,
+                             float(trace.timestamps_s[at_index]),
+                             tmp_path / "crash.sentinel", mode)
+
+
 class TestValidation:
     def test_config_rejects_bad_values(self):
         with pytest.raises(ValueError, match="workers"):
@@ -101,10 +142,6 @@ class TestValidation:
             ServiceConfig(heartbeat_timeout_s=0.0)
         with pytest.raises(ValueError, match="cadences"):
             ServiceConfig(checkpoint_every=0)
-
-    def test_crash_point_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="sigkill"):
-            CrashPoint(shard=0, at_index=0, mode="segfault")
 
     def test_fault_plan_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="error_rate"):
@@ -186,14 +223,12 @@ class TestCrashRecovery:
             trace, _flaky_factory, service_dir=tmp_path / "ref",
             config=ServiceConfig(workers=1), retry=retry,
         )
-        plan = ServiceFaultPlan(worker_crash=(
-            CrashPoint(shard=1, at_index=30, mode="sigkill"),
-        ))
         crashed = run_service(
-            trace, _flaky_factory, service_dir=tmp_path / "crash",
+            trace, _crashing(_flaky_factory, trace, 30, tmp_path),
+            service_dir=tmp_path / "crash",
             config=ServiceConfig(workers=2, checkpoint_every=5,
                                  heartbeat_timeout_s=5.0),
-            retry=retry, fault_plan=plan,
+            retry=retry,
         )
         assert crashed.coverage.ok
         assert crashed.coverage.restarts >= 1
@@ -209,14 +244,11 @@ class TestCrashRecovery:
         reference = run_service(trace, _null_factory,
                                 service_dir=tmp_path / "ref",
                                 config=ServiceConfig(workers=0))
-        plan = ServiceFaultPlan(worker_crash=(
-            CrashPoint(shard=0, at_index=3, mode="hang"),
-        ))
         hung = run_service(
-            trace, _null_factory, service_dir=tmp_path / "hang",
+            trace, _crashing(_null_factory, trace, 3, tmp_path, "hang"),
+            service_dir=tmp_path / "hang",
             config=ServiceConfig(workers=2, checkpoint_every=5,
                                  heartbeat_timeout_s=1.0),
-            fault_plan=plan,
         )
         assert hung.coverage.ok
         assert hung.coverage.heartbeat_misses >= 1
@@ -347,15 +379,12 @@ class TestTelemetryAndReplayView:
 
         trace = make_trace(n=120)
         registry = MetricsRegistry()
-        plan = ServiceFaultPlan(worker_crash=(
-            CrashPoint(shard=0, at_index=2, mode="sigkill"),
-        ))
         with use(registry):
             run_service(
-                trace, _null_factory, service_dir=tmp_path,
+                trace, _crashing(_null_factory, trace, 2, tmp_path),
+                service_dir=tmp_path,
                 config=ServiceConfig(workers=2, checkpoint_every=5,
                                      heartbeat_timeout_s=5.0),
-                fault_plan=plan,
             )
         counters = {c.name: c.value for c in registry.counters()}
         assert counters["service_shards_total"] > 0
@@ -401,7 +430,7 @@ class TestTelemetryAndReplayView:
                 if c.name == "service_shed_total"}
         assert shed.get("breaker", 0) >= 1
 
-    def test_as_replay_result_feeds_outcome_summary(self, tmp_path):
+    def test_result_feeds_outcome_summary(self, tmp_path):
         from repro.platform import outcome_summary
 
         trace = make_trace(n=60)
@@ -410,7 +439,7 @@ class TestTelemetryAndReplayView:
                              config=ServiceConfig(workers=0),
                              retry=RetryPolicy(max_attempts=2,
                                                base_delay_s=0.001))
-        summary = outcome_summary(result.as_replay_result())
+        summary = outcome_summary(result)
         assert summary["n_requests"] == 60
         assert 0 < summary["delivered_fraction"] <= 1.0
 
@@ -423,17 +452,14 @@ class TestServiceSmokeHTTP:
 
         trace = make_trace(n=60, horizon=10.0)
         with StubServer() as stub:
-            factory = functools.partial(_http_factory, stub.url)
-            plan = ServiceFaultPlan(worker_crash=(
-                CrashPoint(shard=0, at_index=2, mode="sigkill"),
-            ))
+            factory = _crashing(functools.partial(_http_factory, stub.url),
+                                trace, 2, tmp_path)
             result = run_service(
                 trace, factory, service_dir=tmp_path,
                 config=ServiceConfig(workers=2, checkpoint_every=5,
                                      heartbeat_timeout_s=10.0,
                                      max_shards=4),
                 retry=RetryPolicy(max_attempts=2, base_delay_s=0.001),
-                fault_plan=plan,
             )
         assert result.coverage.ok
         assert result.coverage.restarts >= 1
@@ -495,6 +521,10 @@ class TestShardLoopEdges:
     only reach inside worker processes (where coverage can't see them)."""
 
     @staticmethod
+    def _config(**kw):
+        return ServiceConfig(heartbeat_every=2, collect_records=False, **kw)
+
+    @staticmethod
     def _work(tmp_path, trace, **kw):
         from repro.loadgen.service import _ShardWork
 
@@ -503,11 +533,7 @@ class TestShardLoopEdges:
             workload_ids=trace.workload_ids,
             bounds=[(0, trace.n_requests)],
             epoch_wall_s=0.0,
-            speed=float("inf"),
-            max_lag_s=None,
-            checkpoint_every=1000,
-            heartbeat_every=2,
-            collect_records=False,
+            config=TestShardLoopEdges._config(),
             service_dir=str(tmp_path),
             backend_factory=_null_factory,
             retry=None,
@@ -524,7 +550,8 @@ class TestShardLoopEdges:
         )
 
         trace = make_trace(n=6)
-        work = self._work(tmp_path, trace, checkpoint_every=2)
+        work = self._work(tmp_path, trace,
+                          config=self._config(checkpoint_every=2))
         beats = []
         payload = _run_shard(0, work, heartbeat=beats.append)
         assert payload["outcomes"].tolist() == [OUTCOME_CODES["ok"]] * 6
@@ -584,7 +611,7 @@ class TestShardLoopEdges:
         trace = make_trace(n=3, horizon=1.0)
         work = self._work(
             tmp_path, trace, backend_factory=_FailOnceBackend,
-            epoch_wall_s=time.time(), speed=1000.0,
+            epoch_wall_s=time.time(), config=self._config(speed=1000.0),
             retry=RetryPolicy(max_attempts=3, base_delay_s=0.1,
                               jitter=0.0),
             breaker_spec=BreakerSpec(failure_threshold=5,
@@ -609,40 +636,15 @@ class TestShardLoopEdges:
         from repro.loadgen.service import _prepare_service_dir
 
         ckpt = tmp_path / "shard-0000.npz"
-        sentinel = tmp_path / "shard-0001.crashed"
         ckpt.touch()
-        sentinel.touch()
         _prepare_service_dir(tmp_path, resume=True)
         assert ckpt.exists()          # checkpoints survive a resume
-        assert not sentinel.exists()  # crash sentinels never do
-        sentinel.touch()
         _prepare_service_dir(tmp_path, resume=False)
         assert not ckpt.exists()
-        assert not sentinel.exists()
-
-    def test_crash_trigger_is_one_shot_and_targeted(self, tmp_path):
-        from repro.loadgen.service import (
-            _crash_sentinel,
-            _maybe_trigger_crash,
-        )
-
-        crash = CrashPoint(shard=0, at_index=7, mode="sigkill")
-        # no plan / wrong index: no-ops
-        _maybe_trigger_crash(None, 7, str(tmp_path))
-        _maybe_trigger_crash(crash, 6, str(tmp_path))
-        # an existing sentinel means the crash already fired once: the
-        # restarted shard must pass through unharmed
-        _crash_sentinel(str(tmp_path), 0).touch()
-        _maybe_trigger_crash(crash, 7, str(tmp_path))
 
     def test_fault_plan_accessors(self):
-        plan = ServiceFaultPlan(
-            error_rate=0.0,
-            worker_crash=(CrashPoint(shard=2, at_index=10),),
-        )
+        plan = ServiceFaultPlan(error_rate=0.0)
         assert plan.should_error(0, 1) is False  # zero rate: never
-        assert plan.crash_for_shard(2).at_index == 10
-        assert plan.crash_for_shard(1) is None
 
     def test_config_budget_validation_and_start_method(self):
         with pytest.raises(ValueError, match="max_restarts"):
