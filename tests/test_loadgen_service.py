@@ -76,7 +76,8 @@ class _BrokenBackend:
 class _CrashOnce:
     """Backend decorator that kills or hangs its worker process once.
 
-    When the request at ``at_ts`` is submitted and ``sentinel`` does not
+    Wraps a backend built by ``inner_factory``.  When the request at
+    ``at_ts`` is submitted and ``sentinel`` does not
     exist yet, it creates the sentinel and then either SIGKILLs its own
     process (``mode="sigkill"``) or stops making progress, and so stops
     heartbeating (``mode="hang"``), until the supervisor kills it.  The
@@ -84,8 +85,8 @@ class _CrashOnce:
     through.
     """
 
-    def __init__(self, inner, at_ts, sentinel, mode):
-        self.inner = inner
+    def __init__(self, inner_factory, at_ts, sentinel, mode):
+        self.inner = inner_factory()
         self.at_ts = at_ts
         self.sentinel = sentinel
         self.mode = mode
@@ -119,13 +120,9 @@ def _broken_factory():
     return _BrokenBackend()
 
 
-def _crash_factory(inner_factory, at_ts, sentinel, mode="sigkill"):
-    return _CrashOnce(inner_factory(), at_ts, sentinel, mode)
-
-
 def _crashing(inner_factory, trace, at_index, tmp_path, mode="sigkill"):
     """A factory whose backends crash once, on request ``at_index``."""
-    return functools.partial(_crash_factory, inner_factory,
+    return functools.partial(_CrashOnce, inner_factory,
                              float(trace.timestamps_s[at_index]),
                              tmp_path / "crash.sentinel", mode)
 
