@@ -341,9 +341,9 @@ def outcome_summary(result) -> dict:
 
     Takes a :class:`~repro.loadgen.replay.ReplayResult` that carries
     outcomes: a replay with a resilience option set, or a
-    :class:`~repro.loadgen.service.ServiceResult`.  ``delivered_fraction`` counts requests that reached
-    the backend and succeeded (``ok`` + ``retried``); ``failed`` groups
-    everything else.
+    :class:`~repro.loadgen.service.ServiceResult`.
+    ``delivered_fraction`` counts requests that reached the backend and
+    succeeded (``ok`` + ``retried``); ``failed`` groups everything else.
     """
     counts = result.outcome_counts()
     n = sum(counts.values())
