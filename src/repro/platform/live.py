@@ -110,21 +110,5 @@ class LiveBackend:
         else:
             self.records.append(record)
 
-    def invoke_many(self, timestamps_s, workload_ids) -> None:
-        """Batched submission: live execution is inherently sequential,
-        so this is the per-request loop -- defined so batched replay
-        dispatch treats live and simulated backends uniformly."""
-        invoke = self.invoke
-        for ts, wid in zip(
-            np.asarray(timestamps_s, dtype=np.float64).tolist(),
-            workload_ids,
-        ):
-            invoke(ts, wid)
-
-    def invoke_chunked(self, slabs) -> None:
-        """Streamed submission, slab by slab (see :meth:`invoke_many`)."""
-        for ts, wids in slabs:
-            self.invoke_many(ts, wids)
-
     def drain(self) -> list[InvocationRecord]:
         return self.records

@@ -48,10 +48,6 @@ class RandomScheduler:
         del workload_id
         return int(self._rng.integers(0, len(nodes)))
 
-    #: Load-independent picks: the bulk path never needs to validate
-    #: busy counts against a threshold (see ``HashAffinityScheduler``).
-    bulk_busy_threshold: int | None = None
-
     def pick_many(
         self, nodes: Sequence[Node], workload_ids: Sequence[str]
     ) -> npt.NDArray[np.int64]:
@@ -120,9 +116,7 @@ class PowerOfTwoScheduler:
     ``[0, 1]``; 0 swaps) each use Lemire's bounded draw, as ``choice``
     does.  A one-value range consumes no output, and one node is picked
     without drawing.  Drawing ahead in blocks is safe because the
-    generator is private and read nowhere else: there is no
-    ``snapshot`` or ``pick_many``, and one added later must take its
-    outputs from the same block stream first.
+    generator is private and read nowhere else.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -184,18 +178,6 @@ class HashAffinityScheduler:
             raise ValueError("spill_threshold must be positive")
         self._spill = spill_threshold
 
-    @property
-    def bulk_busy_threshold(self) -> int:
-        """Validation contract for speculative batched picks.
-
-        :meth:`pick_many` returns home nodes unconditionally; the batch
-        is only byte-equal to sequential :meth:`pick` calls if no home
-        node was at or above the spill threshold when its request
-        arrived.  The array engine checks that from its event calendar
-        and falls back to scalar submission on any violation.
-        """
-        return self._spill
-
     def pick(self, nodes: Sequence[Node], workload_id: str) -> int:
         n = len(nodes)
         home = zlib.crc32(workload_id.encode()) % n
@@ -208,10 +190,11 @@ class HashAffinityScheduler:
     def pick_many(
         self, nodes: Sequence[Node], workload_ids: Sequence[str]
     ) -> npt.NDArray[np.int64]:
-        """Speculative batched :meth:`pick`: every request to its home.
+        """Every request's home node, ignoring the spill threshold.
 
-        Valid only while no home node is at the spill threshold at any
-        arrival -- the caller must verify via ``bulk_busy_threshold``.
+        Equal to sequential :meth:`pick` calls only while no home node
+        is at the threshold.  No engine calls it: the array engine's
+        bulk path admits only :class:`RandomScheduler`.
         """
         n = len(nodes)
         return np.fromiter(
@@ -219,13 +202,6 @@ class HashAffinityScheduler:
             dtype=np.int64,
             count=len(workload_ids),
         )
-
-    def snapshot(self) -> Any:
-        """No RNG state to rewind (deterministic picks)."""
-        return None
-
-    def restore(self, state: Any) -> None:
-        """No RNG state to rewind (deterministic picks)."""
 
 
 #: Name -> class of every built-in scheduler, in the fixed order the

@@ -26,15 +26,17 @@ struct-of-arrays storage:
   ``NoKeepAlive`` or ``FixedKeepAlive(0)`` -- is the commit's
   degenerate case), lognormal service-time jitter (one pre-drawn
   array per slab, stream-equal to the scalar draws, rewound on
-  fallback), and batch-capable schedulers; whatever the slab leaves
+  fallback), and exactly one scheduler, :class:`RandomScheduler`,
+  whose one sized draw places the whole slab; whatever the slab leaves
   outstanding -- running invocations *and* warm idle sandboxes --
   becomes a :class:`_BulkTail` carry that survives chunk boundaries
   (:meth:`invoke_chunked`).  Scalar traffic or a drain materialises it
   into ordinary heap events, which the scalar loop then fires.
 
-Everything outside the bulk envelope -- keep-alive LRU stacks, stateful
-schedulers, the CPU-contention model, autoscaling, fault hooks, tracing
--- runs the shared scalar loop.
+Everything outside the bulk envelope -- keep-alive LRU stacks, every
+other scheduler (a ``RandomScheduler`` subclass included), the
+CPU-contention model, autoscaling, fault hooks, tracing -- runs the
+shared scalar loop.
 
 Determinism contract: bulk submission (:meth:`invoke_many`,
 :meth:`invoke_chunked`) and per-request :meth:`invoke` produce
@@ -43,9 +45,9 @@ streams, and the columnar records equal the ``InvocationRecord`` objects
 ``ObjectFaaSCluster`` appends (``tests/test_simulator_equivalence.py``).
 The bulk path preserves this down to IEEE float accumulation order
 (``used_memory_mb`` is folded with ``cumsum`` in the scalar loop's
-exact event order) and RNG stream position (batched scheduler draws are
-stream-equal to sequential ones; a speculative batch that must fall back
-rewinds the scheduler RNG via its ``snapshot``/``restore`` protocol).
+exact event order) and RNG stream position (``RandomScheduler.pick_many``
+is stream-equal to sequential picks; a slab that must fall back rewinds
+the scheduler RNG with ``RandomScheduler.restore``).
 See docs/SIMULATOR.md for how to add a policy without breaking this.
 """
 
@@ -54,7 +56,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
-from typing import Any, Protocol, cast
+from typing import Any, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -65,15 +67,9 @@ from repro.platform.metrics import (
     RecordColumns,
     _materialise,
 )
-from repro.platform.schedulers import (
-    HashAffinityScheduler,
-    LeastLoadedScheduler,
-    LocalityAwareScheduler,
-    PowerOfTwoScheduler,
-)
+from repro.platform.schedulers import RandomScheduler
 from repro.platform.simcore import (
     Node,
-    Scheduler,
     WorkloadProfile,
     _RECORD_DTYPE,
     _Sandbox,
@@ -90,41 +86,6 @@ __all__ = [
     "iter_trace_slabs",
 ]
 
-
-# ----------------------------------------------------------------------
-# policy protocols (what the engine requires of its pluggable parts)
-# ----------------------------------------------------------------------
-class BatchScheduler(Scheduler, Protocol):
-    """Scheduler supporting speculative batched picks (bulk path).
-
-    ``pick_many`` must return one node index per workload id and
-    consume exactly the randomness the same number of sequential
-    ``pick`` calls would; ``snapshot``/``restore`` let the engine
-    rewind a speculative batch that has to fall back to the scalar
-    path.  A scheduler whose batched picks are only valid while node
-    load stays below a bound (hash affinity's spill threshold) exposes
-    the bound as a ``bulk_busy_threshold`` attribute; the engine then
-    verifies the picked node's busy count at every arrival against it
-    and falls back on any violation.
-    """
-
-    def pick_many(
-        self, nodes: Sequence[Node], workload_ids: Sequence[str]
-    ) -> npt.NDArray[np.int64]: ...
-
-    def snapshot(self) -> Any: ...
-
-    def restore(self, state: Any) -> None: ...
-
-
-#: Schedulers whose single-node pick is a pure ``return 0`` -- no RNG
-#: consumed, no mutable state -- so the bulk path may bypass them.
-_PURE_SINGLE_NODE_SCHEDULERS = (
-    LeastLoadedScheduler,
-    PowerOfTwoScheduler,
-    LocalityAwareScheduler,
-    HashAffinityScheduler,
-)
 
 # ----------------------------------------------------------------------
 # columnar record storage
@@ -596,17 +557,20 @@ class FaaSCluster(_ScalarCluster):
         Per-feature capability checks (docs/SIMULATOR.md tabulates the
         full envelope): the keep-alive TTL must be a constant
         (``NoKeepAlive`` / ``FixedKeepAlive``; a histogram policy learns
-        from reuse order mid-slab), no policy callback may observe
-        intermediate state (autoscaler / tracer / fault hook), cold
-        starts are pure per-profile values, no memory sampling, and no
-        *scalar* events are in flight -- an outstanding bulk carry with
-        the same TTL is fine, it is part of the vectorised state.  Any
-        :class:`~repro.platform.cpu.CpuModel` makes a run ineligible:
-        its policies' ``contend``/``weight`` are the one implementation
-        of contention, and only the scalar loop calls them.
-        Service-time jitter is allowed: the slab pre-draws one lognormal
-        array stream-equal to the scalar per-request draws and rewinds
-        the RNG on fallback.
+        from reuse order mid-slab), the scheduler must be exactly a
+        :class:`RandomScheduler` (the only one whose picks ignore node
+        state; exact type, as for keep-alives, since a subclass may
+        override what the batched draw cannot see), no policy callback
+        may observe intermediate state (autoscaler / tracer / fault
+        hook), cold starts are pure per-profile values, no memory
+        sampling, and no *scalar* events are in flight -- an outstanding
+        bulk carry with the same TTL is fine, it is part of the
+        vectorised state.  Any :class:`~repro.platform.cpu.CpuModel`
+        makes a run ineligible: its policies' ``contend``/``weight`` are
+        the one implementation of contention, and only the scalar loop
+        calls them.  Service-time jitter is allowed: the slab pre-draws
+        one lognormal array stream-equal to the scalar per-request draws
+        and rewinds the RNG on fallback.
         """
         ttl = self._bulk_ttl()
         if ttl is None:
@@ -631,17 +595,7 @@ class FaaSCluster(_ScalarCluster):
                 return False
             if tail is None and node.busy_count:
                 return False
-        sched_t = type(self.scheduler)
-        if (
-            len(self.nodes) == 1
-            and sched_t in _PURE_SINGLE_NODE_SCHEDULERS
-        ):
-            return True
-        return (
-            getattr(sched_t, "pick_many", None) is not None
-            and getattr(sched_t, "snapshot", None) is not None
-            and getattr(sched_t, "restore", None) is not None
-        )
+        return type(self.scheduler) is RandomScheduler
 
     def _bulk_invoke(
         self,
@@ -682,23 +636,9 @@ class FaaSCluster(_ScalarCluster):
             [self.cold_start_model(p) for p in profs], np.float64
         )
 
-        sched = self.scheduler
-        speculative = not (
-            len(self.nodes) == 1
-            and type(sched) in _PURE_SINGLE_NODE_SCHEDULERS
-        )
-        saved: Any = None
-        busy_cap: int | None = None
-        if speculative:
-            bsched = cast(BatchScheduler, sched)
-            saved = bsched.snapshot()
-            node_idx = np.asarray(
-                bsched.pick_many(self.nodes, workload_ids), dtype=np.int64
-            )
-            cap = getattr(sched, "bulk_busy_threshold", None)
-            busy_cap = int(cap) if cap is not None else None
-        else:
-            node_idx = np.zeros(n, dtype=np.int64)
+        sched = cast(RandomScheduler, self.scheduler)
+        saved = sched.snapshot()
+        node_idx = sched.pick_many(self.nodes, workload_ids)
 
         # One sized draw consumes the jitter stream exactly like n
         # scalar draws (pinned by the property suite); saving the
@@ -711,12 +651,10 @@ class FaaSCluster(_ScalarCluster):
             svc_req = svc_req * self._rng.lognormal(mu, sigma, n)
 
         ok = self._bulk_commit(
-            ts, codes, node_idx, mem, coldcost, svc_req, ttl,
-            busy_cap, words, old,
+            ts, codes, node_idx, mem, coldcost, svc_req, ttl, words, old,
         )
         if not ok:
-            if speculative:
-                cast(BatchScheduler, sched).restore(saved)
+            sched.restore(saved)
             if rng_state is not None:
                 self._rng.bit_generator.state = rng_state
         return ok
@@ -747,7 +685,6 @@ class FaaSCluster(_ScalarCluster):
         coldcost: npt.NDArray[np.float64],
         svc_req: npt.NDArray[np.float64],
         ttl: float,
-        busy_cap: int | None,
         words: list[str],
         old: _BulkTail | None,
     ) -> bool:
@@ -904,12 +841,6 @@ class FaaSCluster(_ScalarCluster):
                 return False
             new_used[b] = usage[-1]
 
-        if busy_cap is not None and not self._bulk_busy_ok(
-            ts, node_idx, proc_end, comp_tie[proc_idx],
-            p_node[:np_proc], seq0, busy_cap,
-        ):
-            return False
-
         still = np.nonzero(~processed)[0]
         busy_after = np.bincount(comp_node[still], minlength=n_nodes)
 
@@ -955,45 +886,6 @@ class FaaSCluster(_ScalarCluster):
             )
         else:
             self._tail = None
-        return True
-
-    def _bulk_busy_ok(
-        self,
-        ts: npt.NDArray[np.float64],
-        node_idx: npt.NDArray[np.int64],
-        proc_end: npt.NDArray[np.float64],
-        proc_tie: npt.NDArray[np.int64],
-        proc_node: npt.NDArray[np.int64],
-        seq0: int,
-        busy_cap: int,
-    ) -> bool:
-        """Validate speculative load-bounded picks: the picked node's
-        busy count, at the moment each request was placed, must stay
-        below ``busy_cap`` (else the scalar scheduler would have made a
-        different choice)."""
-        n = int(ts.size)
-        n_nodes = len(self.nodes)
-        sub = np.arange(n, dtype=np.int64)
-        b_time = np.concatenate((ts, proc_end))
-        b_phase = np.concatenate(
-            (np.ones(n, np.uint8), np.zeros(proc_end.size, np.uint8))
-        )
-        b_tie = np.concatenate((seq0 + sub, proc_tie))
-        b_node = np.concatenate((node_idx, proc_node))
-        order = np.lexsort((b_tie, b_phase, b_time, b_node))
-        s_start = b_phase[order] == 1
-        counts = np.bincount(b_node, minlength=n_nodes)
-        bounds = np.zeros(n_nodes + 1, np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        for b, node in enumerate(self.nodes):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            starts = s_start[lo:hi]
-            busy = np.empty(hi - lo + 1, np.int64)
-            busy[0] = node.busy_count
-            busy[1:] = np.where(starts, 1, -1)
-            trail = np.cumsum(busy)
-            if bool(np.any(trail[1:][starts] - 1 >= busy_cap)):
-                return False
         return True
 
     def _pool_creation_keys(

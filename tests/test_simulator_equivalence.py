@@ -248,26 +248,45 @@ def test_equivalence_trace_streams():
 # ---------------------------------------------------------------------------
 # the bulk fast path against the scalar oracle
 # ---------------------------------------------------------------------------
+class _SubclassedRandom(RandomScheduler):
+    """Picks like its base; the bulk path must still refuse it, since a
+    subclass may override what the batched draw cannot see."""
+
+
+def assert_bulk_iff_random(cluster):
+    """A bulk-eligible slab engaged the vectorised path iff the
+    scheduler is exactly a :class:`RandomScheduler`."""
+    if type(cluster.scheduler) is RandomScheduler:
+        assert cluster._tail is not None and not cluster._heap, (
+            "bulk path did not engage; this case would only re-test the "
+            "scalar loop"
+        )
+    else:
+        assert cluster._tail is None, (
+            "only an exact RandomScheduler may take the bulk path"
+        )
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
-    "sched", ["least-loaded", "random", "power-of-two", "locality", "hash"]
+    "sched",
+    ["least-loaded", "random", "power-of-two", "locality", "hash",
+     "random-subclass"],
 )
 def test_bulk_path_matches_object_loop(seed, sched):
-    single_node_only = sched != "random"
+    make_sched = dict(
+        SCHEDULERS, **{"random-subclass": lambda: _SubclassedRandom(seed=7)}
+    )[sched]
     ts, wids = make_load(seed)
     make_kwargs = lambda: dict(  # noqa: E731
-        n_nodes=1 if single_node_only else 3,
+        n_nodes=3 if sched.startswith("random") else 1,
         node_memory_mb=8192.0,
         keepalive=NoKeepAlive(),
-        scheduler=SCHEDULERS[sched](),
+        scheduler=make_sched(),
     )
-    # prove the vectorised path actually engages for this configuration
     probe = FaaSCluster(make_profiles(), **make_kwargs())
     probe.invoke_many(ts, wids)
-    assert probe._tail is not None and not probe._heap, (
-        "bulk path did not engage; this test would only re-test the "
-        "scalar loop"
-    )
+    assert_bulk_iff_random(probe)
     assert_equivalent(ts, wids, make_kwargs, batch=True)
 
 
@@ -366,8 +385,8 @@ def test_bulk_rejects_unsorted_slab_like_the_loop():
 
 
 #: Configurations for invalid slabs.  The bulk path never takes the
-#: first two (a CPU model; a scheduler with no batched pick on several
-#: nodes), so ``invoke_many`` runs the scalar loop's own slab
+#: first two (a CPU model; a scheduler other than RandomScheduler),
+#: so ``invoke_many`` runs the scalar loop's own slab
 #: submission; the ``bulk-*`` ones are bulk-eligible, so a valid first
 #: slab leaves a carry and an invalid slab must fall back to the loop.
 SLAB_CONFIGS = {
@@ -482,17 +501,20 @@ def test_scalar_slab_with_invalid_input_acts_like_the_loop(config, case):
 
 def test_record_store_growth_past_initial_capacity():
     # both the scalar append and the bulk extend must grow the columns
-    # transparently past the initial 1024-row capacity
+    # transparently past the initial 1024-row capacity (a one-node
+    # RandomScheduler keeps the slab on the bulk path)
     profiles = {"w0": WorkloadProfile("w0", runtime_ms=5.0, memory_mb=64.0)}
     n = 3000
     ts = np.linspace(0.0, 300.0, n)
 
     bulk = FaaSCluster(
-        profiles, n_nodes=1, node_memory_mb=8192.0, keepalive=NoKeepAlive()
+        profiles, n_nodes=1, node_memory_mb=8192.0, keepalive=NoKeepAlive(),
+        scheduler=RandomScheduler(seed=0),
     )
     bulk.invoke_many(ts, ["w0"] * n)
     scalar = FaaSCluster(
-        profiles, n_nodes=1, node_memory_mb=8192.0, keepalive=NoKeepAlive()
+        profiles, n_nodes=1, node_memory_mb=8192.0, keepalive=NoKeepAlive(),
+        scheduler=RandomScheduler(seed=0),
     )
     for t in ts.tolist():
         scalar.invoke(t, "w0")
@@ -518,8 +540,9 @@ def test_invoke_many_input_validation():
 # ---------------------------------------------------------------------------
 # the widened bulk envelope: keep-alive x jitter x submission x scheduler
 # ---------------------------------------------------------------------------
-#: Schedulers that keep a multi-node slab on the fast path (the rest are
-#: exercised single-node by the matrix below).
+#: Schedulers the matrix below runs: random on three nodes takes the
+#: fast path; hash (three nodes) and least-loaded (one node) must stay
+#: on the scalar loop and still match the reference engine.
 BULK_SCHEDULERS = {
     "random": lambda: RandomScheduler(seed=7),
     "hash": lambda: HashAffinityScheduler(spill_threshold=64),
@@ -536,7 +559,8 @@ BULK_MODES = ("bulk", "mixed", "chunked-7", "chunked-64")
 @pytest.mark.parametrize("sched", sorted(BULK_SCHEDULERS))
 def test_bulk_envelope_matrix(seed, ka, cv, mode, sched):
     """Byte-identity across the full widened envelope, with proof that
-    every cell actually engages the vectorised path."""
+    every random-scheduler cell engages the vectorised path and every
+    other cell stays on the scalar loop."""
     keepalive = {
         "none": NoKeepAlive,
         "fixed-short": lambda: FixedKeepAlive(0.8),
@@ -551,13 +575,9 @@ def test_bulk_envelope_matrix(seed, ka, cv, mode, sched):
         service_time_cv=cv,
         seed=seed,
     )
-    # prove the vectorised path engages for every slab of this cell
     probe = FaaSCluster(make_profiles(), **make_kwargs())
     submit(probe, ts, wids, "bulk" if mode == "mixed" else mode)
-    assert probe._tail is not None and not probe._heap, (
-        "bulk path did not engage; this cell would only re-test the "
-        "scalar loop"
-    )
+    assert_bulk_iff_random(probe)
     assert_equivalent(ts, wids, make_kwargs, mode=mode)
 
 
@@ -678,9 +698,11 @@ def _boundary_profiles():
 
 
 def _run_boundary(cls, ts, wids, slab_edges=None, ttl=0.65):
+    # a one-node RandomScheduler: its picks are all 0, and slabs take
+    # the bulk path
     cluster = cls(
         _boundary_profiles(), n_nodes=1, node_memory_mb=8192.0,
-        keepalive=FixedKeepAlive(ttl),
+        keepalive=FixedKeepAlive(ttl), scheduler=RandomScheduler(seed=0),
     )
     if slab_edges is None:
         for t, w in zip(ts.tolist(), wids):
@@ -757,7 +779,7 @@ def test_deep_pools_stay_on_the_bulk_path():
     def build(cls):
         return cls(
             _boundary_profiles(), n_nodes=1, node_memory_mb=8192.0,
-            keepalive=FixedKeepAlive(ttl),
+            keepalive=FixedKeepAlive(ttl), scheduler=RandomScheduler(seed=0),
         )
 
     def state(cluster):
@@ -1128,44 +1150,6 @@ def test_faulty_backend_bulk_raises_at_the_same_request():
     assert bulk_inner.calls == scalar_inner.calls
 
 
-@pytest.mark.parametrize("mode", ["bulk", "chunked"])
-def test_live_backend_bulk_matches_scalar(mode):
-    """LiveBackend parity: bulk/chunked submission must produce the same
-    record stream as the scalar loop in every deterministic field
-    (``end_s`` is wall-clock elapsed and is excluded)."""
-    from repro.platform import LiveBackend
-    from repro.workloads import Workload, WorkloadPool
-
-    def make_backend():
-        pool = WorkloadPool([
-            Workload("pyaes:t", "pyaes", {"length": 32, "rounds": 1},
-                     1.0, 28.0),
-            Workload("matmul:t", "matmul", {"n": 8, "reps": 1}, 1.0, 32.0),
-        ])
-        return LiveBackend(pool, seed=13, max_cached_payloads=1)
-
-    ts = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
-    wids = ["pyaes:t", "matmul:t", "pyaes:t", "pyaes:t", "matmul:t",
-            "matmul:t"]
-
-    ref = make_backend()
-    for t, w in zip(ts.tolist(), wids):
-        ref.invoke(t, w)
-
-    got = make_backend()
-    if mode == "bulk":
-        got.invoke_many(ts, wids)
-    else:
-        got.invoke_chunked([(ts[:2], wids[:2]), (ts[2:], wids[2:])])
-
-    def key(records):
-        return [(r.workload_id, r.node, r.arrival_s, r.start_s, r.cold,
-                 r.ok) for r in records]
-
-    assert key(got.drain()) == key(ref.drain())
-    assert got.evictions == ref.evictions
-
-
 # ---------------------------------------------------------------------------
 # CPU-contention model (ISSUE 10): cpu-policy x keep-alive (incl. hybrid
 # histogram) x scheduler x submission mode, all byte-identical
@@ -1492,6 +1476,9 @@ def test_lru_index_inside_the_loop_matches_linear_scan(config, monkeypatch):
     def build(cls):
         knobs = dict(n_nodes=1, node_memory_mb=125.0 * 6,
                      keepalive=FixedKeepAlive(30.0), queue_timeout_s=2.0)
+        if config == "carry":
+            # the first slab must leave a bulk carry
+            knobs.update(scheduler=RandomScheduler(seed=0))
         if config == "autoscale":
             knobs.update(n_nodes=2, autoscaler=ReactiveAutoscaler(
                 min_nodes=1, max_nodes=3, target_busy_per_node=2.0,

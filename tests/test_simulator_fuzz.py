@@ -88,8 +88,9 @@ REGRESSION_CONFIGS = [
     _cfg(seed=11, n_requests=350, horizon_s=6.0, keepalive="fixed",
          keepalive_ttl=0.5, service_time_cv=0.6,
          node_memory_mb=8192.0, batch="chunked", chunk_rows=1),
-    # chunked + hash-affinity spill: the busy-cap trajectory check must
-    # agree with the scalar spill decisions across slab boundaries
+    # chunked + hash-affinity spill: hash is outside the bulk envelope,
+    # so every slab runs the scalar loop, whose spill decisions must
+    # match per-request submission across slab boundaries
     _cfg(seed=12, n_requests=400, horizon_s=4.0, scheduler="hash",
          keepalive="fixed", keepalive_ttl=1.0, node_memory_mb=8192.0,
          batch="chunked", chunk_rows=7),
