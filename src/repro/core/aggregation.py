@@ -7,8 +7,11 @@ functions into ~12.7K Functions while *exactly* preserving the
 invocation-weighted duration distribution, and -- as Figure 4 shows -- with
 negligible distortion of function popularity.
 
-The audit object returned alongside the aggregated trace carries everything
-the Figure-4 analysis needs.
+The grouping itself is :class:`~repro.stats.sketches.RateMatrixAccumulator`,
+the same accumulator streaming ingestion folds chunks into: each shard of
+the trace folds into its own accumulator, and the shard accumulators merge
+in shard order.  The audit object returned alongside the aggregated trace
+carries everything the Figure-4 analysis needs.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import numpy as np
 
 from repro.parallel import auto_shards, map_shards, shard_bounds
 from repro.stats.popularity import popularity_change_cdf, popularity_shares
+from repro.stats.sketches import RateMatrixAccumulator
 from repro.telemetry import registry as _telemetry
-from repro.traces.model import Trace
+from repro.traces.model import Trace, super_function_trace
 
 __all__ = ["AggregationAudit", "aggregate_functions"]
 
@@ -64,28 +68,18 @@ class AggregationAudit:
         )
 
 
-def _aggregate_shard(
-    args: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-           np.ndarray]:
-    """Segment-sum one contiguous slice of functions by duration key.
+def _fold_shard(
+    args: tuple[np.ndarray, np.ndarray, int, float],
+) -> RateMatrixAccumulator:
+    """Fold one contiguous slice of functions into a fresh accumulator.
 
-    Module-level so it pickles into pool workers.  Returns the shard's
-    own unique keys plus its partial sums, merged key-wise by the caller
-    in shard order.
+    Module-level so it pickles into pool workers; the caller merges the
+    shard accumulators in shard order.
     """
-    keys, per_minute, durations, counts = args
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    matrix = np.zeros((uniq.size, per_minute.shape[1]), dtype=np.int64)
-    np.add.at(matrix, inverse, per_minute)
-    group_counts = np.zeros(uniq.size)
-    np.add.at(group_counts, inverse, counts)
-    weighted_dur = np.zeros(uniq.size)
-    np.add.at(weighted_dur, inverse, durations * counts)
-    plain_sum = np.zeros(uniq.size)
-    np.add.at(plain_sum, inverse, durations)
-    sizes = np.bincount(inverse, minlength=uniq.size)
-    return uniq, matrix, group_counts, weighted_dur, plain_sum, sizes
+    durations, per_minute, n_minutes, quantize_ms = args
+    acc = RateMatrixAccumulator(n_minutes, quantize_ms)
+    acc.observe_block(durations, per_minute)
+    return acc
 
 
 def aggregate_functions(
@@ -137,72 +131,40 @@ def _aggregate(
     jobs: int | None,
     shards: int | None,
 ) -> tuple[Trace, AggregationAudit]:
-    # Quantised duration keys.  Round-half-away from the raw average, with a
-    # floor of one step so sub-quantum functions keep a positive duration.
-    keys = np.maximum(
-        np.round(trace.durations_ms / quantize_ms), 1.0
-    ).astype(np.int64)
-
-    counts = trace.invocations_per_function.astype(np.float64)
-    per_minute = trace.per_minute.astype(np.int64)
+    counts = trace.invocations_per_function
+    total = counts.sum()
+    if total <= 0:
+        raise ValueError("trace has no invocations to aggregate")
 
     n_shards = shards if shards is not None else auto_shards(
         trace.n_functions, min_per_shard=_MIN_FUNCTIONS_PER_SHARD
     ) or 1
-    results = map_shards(
-        _aggregate_shard,
+    parts = map_shards(
+        _fold_shard,
         [
-            (keys[lo:hi], per_minute[lo:hi],
-             trace.durations_ms[lo:hi], counts[lo:hi])
+            (trace.durations_ms[lo:hi], trace.per_minute[lo:hi],
+             trace.n_minutes, quantize_ms)
             for lo, hi in shard_bounds(trace.n_functions, n_shards)
         ],
         jobs=jobs,
     )
-
-    uniq_keys = np.unique(np.concatenate([r[0] for r in results]))
-    n_groups = uniq_keys.size
-    agg_matrix = np.zeros((n_groups, trace.n_minutes), dtype=np.int64)
-    group_counts = np.zeros(n_groups)
-    weighted_dur = np.zeros(n_groups)
-    plain_sum = np.zeros(n_groups)
-    group_sizes = np.zeros(n_groups, dtype=np.int64)
-    # Ordered reduction: shard partials land in shard order, keeping the
+    # Ordered reduction: shard partials merge in shard order, keeping the
     # floating-point accumulation order fixed for a given shard layout.
-    for uniq, matrix, gc, wd, ps, sz in results:
-        idx = np.searchsorted(uniq_keys, uniq)
-        agg_matrix[idx] += matrix
-        group_counts[idx] += gc
-        weighted_dur[idx] += wd
-        plain_sum[idx] += ps
-        group_sizes[idx] += sz
+    # Popping frees each partial's rows as soon as they are merged.
+    parts.reverse()
+    acc = parts.pop()
+    while parts:
+        acc.merge(parts.pop())
+    keys, matrix, group_counts, durations, group_sizes = acc.finalize()
 
-    # Invocation-weighted mean duration per group (falls back to the plain
-    # mean for groups that were never invoked).
-    durations = np.where(
-        group_counts > 0,
-        weighted_dur / np.where(group_counts > 0, group_counts, 1.0),
-        plain_sum / group_sizes,
-    )
-
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("trace has no invocations to aggregate")
     audit = AggregationAudit(
-        original_keys=keys,
+        original_keys=acc.quantize(trace.durations_ms),
         original_shares=popularity_shares(counts),
-        aggregated_keys=uniq_keys,
+        aggregated_keys=keys,
         aggregated_shares=group_counts / total,
         group_sizes=group_sizes,
     )
-
-    aggregated = Trace(
-        name=f"{trace.name}/aggregated",
-        function_ids=np.array([f"sf-{k}" for k in uniq_keys]),
-        app_ids=np.array([f"sf-app-{k}" for k in uniq_keys]),
-        durations_ms=durations,
-        per_minute=agg_matrix.astype(np.int64),
-        app_memory_mb={},
-    )
+    aggregated = super_function_trace(trace.name, keys, durations, matrix)
     reg = _telemetry.active()
     if reg is not None:
         reg.counter("aggregation_functions_in_total",
@@ -210,5 +172,5 @@ def _aggregate(
                     ).inc(trace.n_functions)
         reg.counter("aggregation_functions_out_total",
                     "super-Functions leaving the aggregation stage"
-                    ).inc(n_groups)
+                    ).inc(keys.size)
     return aggregated, audit

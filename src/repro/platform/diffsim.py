@@ -66,6 +66,9 @@ BATCH_MODES = ("scalar", "bulk", "mixed", "chunked")
 #: Workload memory sizes the generator draws from (MiB).
 _MEMORY_CHOICES = (128.0, 256.0, 384.0, 512.0)
 
+#: Share of :func:`random_config` draws placed inside the bulk envelope.
+_BULK_SHARE = 0.25
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -120,8 +123,10 @@ class FuzzConfig:
 
 def random_config(rng: np.random.Generator) -> FuzzConfig:
     """Draw one configuration tuple, biased toward stress: tight memory,
-    duplicate timestamps, and every policy axis in play."""
-    return FuzzConfig(
+    duplicate timestamps, and every policy axis in play -- except that a
+    fixed share lands inside the bulk envelope, on nodes with room for
+    every request at once, so the sweep commits bulk slabs too."""
+    cfg = FuzzConfig(
         seed=int(rng.integers(0, 2**31)),
         n_requests=int(rng.integers(1, 400)),
         n_workloads=int(rng.integers(1, 8)),
@@ -151,6 +156,15 @@ def random_config(rng: np.random.Generator) -> FuzzConfig:
         quantum=float(rng.choice([0.005, 0.02, 0.1])),
         cpu_policy=str(rng.choice(tuple(CPU_POLICIES))),
     )
+    if rng.random() < _BULK_SHARE:
+        cfg = dataclasses.replace(
+            cfg, scheduler="random", crash_rate=0.0, autoscale=False,
+            track_memory=False, cores=0,
+            keepalive=str(rng.choice(("none", "fixed"))),
+            batch=str(rng.choice(("bulk", "mixed", "chunked"))),
+            node_memory_mb=max(_MEMORY_CHOICES) * cfg.n_requests,
+        )
+    return cfg
 
 
 def make_load(cfg: FuzzConfig) -> tuple[np.ndarray, list[str]]:

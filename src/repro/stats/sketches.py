@@ -14,9 +14,9 @@ that :mod:`repro.traces.streaming` folds chunk blocks into:
   summary with the Agarwal et al. mergeable-summaries merge rule and a
   deterministic eviction tie-break.
 - :class:`RateMatrixAccumulator` -- exact online segment sums of
-  per-minute invocation rows grouped by quantised duration key; its
-  integer outputs are byte-identical to the in-memory aggregation stage
-  for any chunking.
+  per-minute invocation rows grouped by quantised duration key: the one
+  implementation of super-Function aggregation, which the in-memory
+  stage folds shards into and the streaming summaries fold chunks into.
 
 Determinism contract (see docs/SCALING.md): none of these touch a random
 generator.  Each structure's state is a deterministic function of the
@@ -26,6 +26,7 @@ additionally invariant to how that sequence was chunked.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -379,26 +380,38 @@ class SpaceSavingCounter:
                 f"tracked={len(self)})")
 
 
+@dataclass(slots=True)
+class _Group:
+    """Running sums of one duration key's super-Function."""
+
+    row: np.ndarray
+    count: int
+    weighted_dur: float
+    plain_dur: float
+    size: int
+
+
 class RateMatrixAccumulator:
     """Exact online aggregation of per-minute rows by quantised duration.
 
-    This is the streaming twin of the in-memory aggregation stage
-    (:func:`repro.core.aggregation.aggregate_functions`): functions
-    sharing a quantised mean duration merge into one super-Function
-    whose per-minute invocation row is the sum of its members'.  All
-    integer outputs (the rate matrix, per-group invocation counts and
-    sizes) are *exact* -- byte-identical to the in-memory stage for any
-    chunking, because integer addition is associative.  The
-    invocation-weighted group durations are floating-point sums taken in
-    observation order; they are deterministic for a fixed chunking and
-    agree with the in-memory stage to accumulation-order rounding.
+    The one implementation of the shrink ray's aggregation (paper
+    section 3.1.2): functions sharing a quantised mean duration merge
+    into one super-Function whose per-minute row is the sum of its
+    members'.  :func:`repro.core.aggregation.aggregate_functions` folds
+    each shard of a trace into one, streaming summaries each chunk.
+
+    Integer outputs (rate matrix, per-group invocation counts and sizes)
+    are exact for any blocking.  Group durations come from float sums
+    taken in observation order, so they are deterministic for a fixed
+    sequence of blocks and merges.  A group's duration is its members'
+    invocation-weighted mean, or their plain mean if none was invoked:
+    never-invoked rows are kept and count in ``sizes``.
 
     State is bounded by the number of distinct duration keys (~12.7K for
     the Azure day at 1 ms quantisation), not by the number of functions.
     """
 
-    __slots__ = ("n_minutes", "quantize_ms", "_rows", "_counts",
-                 "_weighted_dur", "_sizes")
+    __slots__ = ("n_minutes", "quantize_ms", "_groups")
 
     def __init__(self, n_minutes: int, quantize_ms: float = 1.0) -> None:
         if n_minutes < 1:
@@ -409,21 +422,19 @@ class RateMatrixAccumulator:
             )
         self.n_minutes = int(n_minutes)
         self.quantize_ms = float(quantize_ms)
-        self._rows: dict[int, np.ndarray] = {}
-        self._counts: dict[int, int] = {}
-        self._weighted_dur: dict[int, float] = {}
-        self._sizes: dict[int, int] = {}
+        self._groups: dict[int, _Group] = {}
 
     @property
     def n_groups(self) -> int:
-        return len(self._rows)
+        return len(self._groups)
 
     @property
     def total_invocations(self) -> int:
-        return sum(self._counts[k] for k in sorted(self._counts))
+        return sum(g.count for g in self._groups.values())
 
     def quantize(self, durations_ms: object) -> np.ndarray:
-        """Quantised duration keys, matching the in-memory stage exactly."""
+        """Quantised duration keys: round half away from zero, floored
+        at one step so sub-quantum functions keep a positive key."""
         d = np.asarray(durations_ms, dtype=np.float64)
         keys: np.ndarray = np.maximum(
             np.round(d / self.quantize_ms), 1.0
@@ -438,9 +449,7 @@ class RateMatrixAccumulator:
         """Fold one block of function rows in.
 
         ``durations_ms`` is ``(rows,)`` float; ``per_minute`` is
-        ``(rows, n_minutes)`` integer counts.  Functions with zero total
-        invocations are skipped (they are dropped by the in-memory
-        pipeline's ``nonzero_functions`` step too).
+        ``(rows, n_minutes)`` integer counts.
         """
         durations = np.asarray(durations_ms, dtype=np.float64)
         matrix = np.asarray(per_minute)
@@ -458,36 +467,22 @@ class RateMatrixAccumulator:
             raise ValueError("per_minute block must be an integer array")
         matrix = matrix.astype(np.int64, copy=False)
         totals = matrix.sum(axis=1, dtype=np.int64)
-        invoked = totals > 0
-        if not bool(invoked.any()):
-            return
-        durations = durations[invoked]
-        matrix = matrix[invoked]
-        totals = totals[invoked]
 
-        keys = self.quantize(durations)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        block_rows = np.zeros((uniq.size, self.n_minutes), dtype=np.int64)
-        np.add.at(block_rows, inverse, matrix)
-        block_counts = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(block_counts, inverse, totals)
-        block_weighted = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(block_weighted, inverse,
-                  durations * totals.astype(np.float64))
-        block_sizes = np.bincount(inverse, minlength=uniq.size)
-
+        uniq, inverse = np.unique(self.quantize(durations),
+                                  return_inverse=True)
+        rows = np.zeros((uniq.size, self.n_minutes), dtype=np.int64)
+        np.add.at(rows, inverse, matrix)
+        counts = np.zeros(uniq.size, dtype=np.int64)
+        np.add.at(counts, inverse, totals)
+        weighted = np.zeros(uniq.size, dtype=np.float64)
+        np.add.at(weighted, inverse, durations * totals.astype(np.float64))
+        plain = np.zeros(uniq.size, dtype=np.float64)
+        np.add.at(plain, inverse, durations)
+        sizes = np.bincount(inverse, minlength=uniq.size)
         for i, key in enumerate(uniq.tolist()):
-            row = self._rows.get(key)
-            if row is None:
-                self._rows[key] = block_rows[i].copy()
-                self._counts[key] = int(block_counts[i])
-                self._weighted_dur[key] = float(block_weighted[i])
-                self._sizes[key] = int(block_sizes[i])
-            else:
-                row += block_rows[i]
-                self._counts[key] += int(block_counts[i])
-                self._weighted_dur[key] += float(block_weighted[i])
-                self._sizes[key] += int(block_sizes[i])
+            self._fold(key, _Group(rows[i], int(counts[i]),
+                                   float(weighted[i]), float(plain[i]),
+                                   int(sizes[i])))
 
     def merge(self, other: RateMatrixAccumulator) -> None:
         """Fold ``other`` in (exact; order only affects float rounding)."""
@@ -498,18 +493,21 @@ class RateMatrixAccumulator:
                 f"({self.n_minutes}, {self.quantize_ms}) vs "
                 f"({other.n_minutes}, {other.quantize_ms})"
             )
-        for key in sorted(other._rows):
-            row = self._rows.get(key)
-            if row is None:
-                self._rows[key] = other._rows[key].copy()
-                self._counts[key] = other._counts[key]
-                self._weighted_dur[key] = other._weighted_dur[key]
-                self._sizes[key] = other._sizes[key]
-            else:
-                row += other._rows[key]
-                self._counts[key] += other._counts[key]
-                self._weighted_dur[key] += other._weighted_dur[key]
-                self._sizes[key] += other._sizes[key]
+        for key in sorted(other._groups):
+            self._fold(key, other._groups[key])
+
+    def _fold(self, key: int, part: _Group) -> None:
+        group = self._groups.get(key)
+        if group is None:
+            self._groups[key] = _Group(part.row.copy(), part.count,
+                                       part.weighted_dur, part.plain_dur,
+                                       part.size)
+        else:
+            group.row += part.row
+            group.count += part.count
+            group.weighted_dur += part.weighted_dur
+            group.plain_dur += part.plain_dur
+            group.size += part.size
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray, np.ndarray]:
@@ -517,17 +515,22 @@ class RateMatrixAccumulator:
 
         ``matrix`` is the exact ``(n_groups, n_minutes)`` int64 rate
         matrix; ``durations`` the invocation-weighted mean duration per
-        group.  Key order matches ``np.unique`` in the in-memory stage.
+        group (the plain mean for a group never invoked).
         """
-        if not self._rows:
+        if not self._groups:
             raise ValueError("accumulator has observed no invoked functions")
-        keys = sorted(self._rows)
-        matrix = np.vstack([self._rows[k] for k in keys])
-        counts = np.asarray([self._counts[k] for k in keys], dtype=np.int64)
-        weighted = np.asarray([self._weighted_dur[k] for k in keys],
+        keys = sorted(self._groups)
+        groups = [self._groups[k] for k in keys]
+        matrix = np.vstack([g.row for g in groups])
+        counts = np.asarray([g.count for g in groups], dtype=np.int64)
+        weighted = np.asarray([g.weighted_dur for g in groups],
                               dtype=np.float64)
-        sizes = np.asarray([self._sizes[k] for k in keys], dtype=np.int64)
-        durations = weighted / counts.astype(np.float64)
+        plain = np.asarray([g.plain_dur for g in groups], dtype=np.float64)
+        sizes = np.asarray([g.size for g in groups], dtype=np.int64)
+        invoked = counts > 0
+        durations = np.where(
+            invoked, weighted / np.where(invoked, counts, 1), plain / sizes
+        )
         return (np.asarray(keys, dtype=np.int64), matrix, counts,
                 durations, sizes)
 

@@ -17,13 +17,17 @@ the same files for inspection.
 Malformed rows raise ``ValueError`` carrying the file path, 1-based line
 number, and offending column, so a bad cell in a multi-million-row dump
 is locatable without a debugger (mirroring the path-context validation of
-:mod:`repro.loadgen.io`).  The row-level conversion helpers are shared
-with the chunked readers in :mod:`repro.traces.streaming`.
+:mod:`repro.loadgen.io`).  Invocations are parsed in one place,
+:func:`iter_invocation_blocks`, which yields fixed-size row blocks for
+streaming ingestion (:mod:`repro.traces.streaming`);
+:func:`read_invocations_csv` is the concatenation of those blocks.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +35,10 @@ import numpy as np
 from repro.traces.model import Trace
 
 __all__ = [
+    "DEFAULT_CHUNK_ROWS",
+    "InvocationBlock",
     "dump_azure_day",
+    "iter_invocation_blocks",
     "load_azure_day",
     "read_durations_csv",
     "read_invocations_csv",
@@ -44,6 +51,10 @@ __all__ = [
 INVOCATIONS_FILE = "invocations_per_function.csv"
 DURATIONS_FILE = "function_durations.csv"
 MEMORY_FILE = "app_memory.csv"
+
+#: Default rows per ingestion block.  At Azure's 1440 minute columns one
+#: block is ~0.7 GiB/1e6 rows of int64, so 65536 rows stays under 50 MiB.
+DEFAULT_CHUNK_ROWS = 65_536
 
 
 def convert_count_row(
@@ -104,16 +115,57 @@ def write_invocations_csv(trace: Trace, path: Path | str) -> None:
             )
 
 
-def read_invocations_csv(path: Path | str):
-    """Read an invocations CSV; returns (app_ids, function_ids, matrix)."""
+@dataclass(frozen=True)
+class InvocationBlock:
+    """One fixed-size slice of invocation CSV rows."""
+
+    #: App id per row.
+    apps: np.ndarray
+    #: Function id per row.
+    functions: np.ndarray
+    #: ``(rows, n_minutes)`` int64 invocation counts.
+    per_minute: np.ndarray
+    #: 1-based CSV line number of the block's first data row.
+    first_line: int
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.functions.size)
+
+
+def iter_invocation_blocks(
+    path: Path | str,
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+) -> Iterator[InvocationBlock]:
+    """Yield :class:`InvocationBlock` slices of an invocations CSV.
+
+    Validates the header and every row's arity up front; malformed
+    numeric cells raise ``ValueError`` carrying the file path, 1-based
+    line number, and offending column.  Memory use is bounded by one
+    block.
+    """
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     path = Path(path)
-    apps, fns, rows = [], [], []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty invocations file") from None
         if header[:4] != ["HashOwner", "HashApp", "HashFunction", "Trigger"]:
-            raise ValueError(f"{path}: unexpected invocations header {header[:4]}")
+            raise ValueError(
+                f"{path}: unexpected invocations header {header[:4]}"
+            )
         n_minutes = len(header) - 4
+        if n_minutes < 1:
+            raise ValueError(f"{path}: invocations header has no minute "
+                             "columns")
+
+        apps: list[str] = []
+        fns: list[str] = []
+        rows: list[np.ndarray] = []
+        first_line = 2
         line = 1
         for row in reader:
             line += 1
@@ -127,10 +179,36 @@ def read_invocations_csv(path: Path | str):
             apps.append(row[1])
             fns.append(row[2])
             rows.append(convert_count_row(row[4:], path, line))
-    if not fns:
-        raise ValueError(f"{path}: no functions")
-    matrix = np.vstack(rows).astype(np.int32)
-    return np.array(apps), np.array(fns), matrix
+            if len(rows) >= chunk_rows:
+                yield InvocationBlock(
+                    apps=np.asarray(apps),
+                    functions=np.asarray(fns),
+                    per_minute=np.vstack(rows),
+                    first_line=first_line,
+                )
+                apps, fns, rows = [], [], []
+                first_line = line + 1
+        if rows:
+            yield InvocationBlock(
+                apps=np.asarray(apps),
+                functions=np.asarray(fns),
+                per_minute=np.vstack(rows),
+                first_line=first_line,
+            )
+
+
+def read_invocations_csv(path: Path | str):
+    """Read a whole invocations CSV; returns (app_ids, function_ids,
+    matrix), the matrix int32.  The concatenated blocks of
+    :func:`iter_invocation_blocks`, so both apply the same checks."""
+    blocks = list(iter_invocation_blocks(path))
+    if not blocks:
+        raise ValueError(f"{Path(path)}: no functions")
+    return (
+        np.concatenate([b.apps for b in blocks]),
+        np.concatenate([b.functions for b in blocks]),
+        np.concatenate([b.per_minute for b in blocks]).astype(np.int32),
+    )
 
 
 def write_durations_csv(trace: Trace, path: Path | str) -> None:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Trace", "MultiDaySummary", "MINUTES_PER_DAY"]
+__all__ = ["MINUTES_PER_DAY", "MultiDaySummary", "Trace",
+           "super_function_trace"]
 
 MINUTES_PER_DAY = 1440
 
@@ -165,6 +166,25 @@ class Trace:
         if not mask.any():
             raise ValueError("trace has no invoked functions")
         return self.select(np.flatnonzero(mask))
+
+
+def super_function_trace(
+    name: str,
+    keys: np.ndarray,
+    durations_ms: np.ndarray,
+    per_minute: np.ndarray,
+) -> Trace:
+    """The aggregated trace of ``name``: one super-Function per
+    quantised duration key, alone in its own app, rows in key order."""
+    ids = np.asarray(keys).tolist()
+    return Trace(
+        name=f"{name}/aggregated",
+        function_ids=np.array([f"sf-{k}" for k in ids]),
+        app_ids=np.array([f"sf-app-{k}" for k in ids]),
+        durations_ms=durations_ms,
+        per_minute=per_minute,
+        app_memory_mb={},
+    )
 
 
 @dataclass

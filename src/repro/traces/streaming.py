@@ -3,14 +3,16 @@
 The in-memory loaders in :mod:`repro.traces.io` materialise the full
 ``(n_functions, n_minutes)`` invocation matrix before the shrink ray can
 run -- fine for one synthetic day, a non-starter for the real Azure 2019
-release (~908M invocations/day for 14 days).  This module ingests the
-same CSV layout in fixed-size row blocks and folds each block into a
+release (~908M invocations/day for 14 days).  This module reads the
+same CSV layout through :func:`repro.traces.io.iter_invocation_blocks`,
+in fixed-size row blocks, and folds each block into a
 :class:`StreamingTraceSummary` built from the mergeable one-pass
 summaries of :mod:`repro.stats.sketches`:
 
 - the exact per-minute **rate matrix** of super-Functions (quantised
-  duration groups), byte-identical to the in-memory aggregation stage
-  for any chunking;
+  duration groups), folded by the same accumulator as the in-memory
+  aggregation stage, so its integer statistics match that stage's for
+  any chunking (never-invoked functions aside: the summary skips them);
 - a deterministic KLL **duration sketch** (invocation-weighted) and an
   app-**memory sketch**, each carrying its own rank-error bound;
 - a space-saving **popularity** counter over raw function ids.
@@ -32,9 +34,6 @@ Azure column schema, which Huawei traces round-trip through via
 
 from __future__ import annotations
 
-import csv
-from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +47,16 @@ from repro.stats.sketches import (
 from repro.stats.ecdf import EmpiricalCDF
 from repro.telemetry import registry as _telemetry
 from repro.traces.io import (
+    DEFAULT_CHUNK_ROWS,
     DURATIONS_FILE,
     INVOCATIONS_FILE,
     MEMORY_FILE,
-    convert_count_row,
+    InvocationBlock,
+    iter_invocation_blocks,
     read_durations_csv,
     read_memory_csv,
 )
-from repro.traces.model import Trace
+from repro.traces.model import Trace, super_function_trace
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
@@ -71,10 +72,6 @@ __all__ = [
 #: every streaming fingerprint, so stale cache entries self-invalidate.
 STREAMING_SCHEMA_VERSION = 1
 
-#: Default rows per ingestion block.  At Azure's 1440 minute columns one
-#: block is ~0.7 GiB/1e6 rows of int64, so 65536 rows stays under 50 MiB.
-DEFAULT_CHUNK_ROWS = 65_536
-
 #: Default KLL compactor capacity: rank error stays under 0.01 out to
 #: ~10^9 weighted samples (see ``KLLSketch``).
 DEFAULT_SKETCH_K = 2048
@@ -82,24 +79,6 @@ DEFAULT_SKETCH_K = 2048
 #: Default space-saving capacity: any function holding more than
 #: ``1/capacity`` of the day's invocations is guaranteed tracked.
 DEFAULT_TOPK_CAPACITY = 256
-
-
-@dataclass(frozen=True)
-class InvocationBlock:
-    """One fixed-size slice of invocation CSV rows."""
-
-    #: App id per row.
-    apps: np.ndarray
-    #: Function id per row.
-    functions: np.ndarray
-    #: ``(rows, n_minutes)`` int64 invocation counts.
-    per_minute: np.ndarray
-    #: 1-based CSV line number of the block's first data row.
-    first_line: int
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.functions.size)
 
 
 #: (keys, matrix, counts, durations, sizes) from the rate accumulator.
@@ -112,70 +91,6 @@ _SummaryConfig = tuple[str, int, float, int, int]
 #: (functions, durations, per_minute, rows_read, dropped, config).
 _ChunkArgs = tuple[np.ndarray, np.ndarray, np.ndarray, int, int,
                    _SummaryConfig]
-
-
-def iter_invocation_blocks(
-    path: Path | str,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> Iterator[InvocationBlock]:
-    """Yield :class:`InvocationBlock` slices of an invocations CSV.
-
-    Validates the header and every row's arity up front; malformed
-    numeric cells raise ``ValueError`` carrying the file path, 1-based
-    line number, and offending column.  Memory use is bounded by one
-    block.
-    """
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty invocations file") from None
-        if header[:4] != ["HashOwner", "HashApp", "HashFunction", "Trigger"]:
-            raise ValueError(
-                f"{path}: unexpected invocations header {header[:4]}"
-            )
-        n_minutes = len(header) - 4
-        if n_minutes < 1:
-            raise ValueError(f"{path}: invocations header has no minute "
-                             "columns")
-
-        apps: list[str] = []
-        fns: list[str] = []
-        rows: list[np.ndarray] = []
-        first_line = 2
-        line = 1
-        for row in reader:
-            line += 1
-            if len(row) != 4 + n_minutes:
-                fn = row[2] if len(row) > 2 else "?"
-                raise ValueError(
-                    f"{path}: line {line}: ragged row for function "
-                    f"{fn!r} ({len(row)} fields, expected "
-                    f"{4 + n_minutes})"
-                )
-            apps.append(row[1])
-            fns.append(row[2])
-            rows.append(convert_count_row(row[4:], path, line))
-            if len(rows) >= chunk_rows:
-                yield InvocationBlock(
-                    apps=np.asarray(apps),
-                    functions=np.asarray(fns),
-                    per_minute=np.vstack(rows),
-                    first_line=first_line,
-                )
-                apps, fns, rows = [], [], []
-                first_line = line + 1
-        if rows:
-            yield InvocationBlock(
-                apps=np.asarray(apps),
-                functions=np.asarray(fns),
-                per_minute=np.vstack(rows),
-                first_line=first_line,
-            )
 
 
 class StreamingTraceSummary:
@@ -233,7 +148,11 @@ class StreamingTraceSummary:
         durations_ms: np.ndarray,
         per_minute: np.ndarray,
     ) -> None:
-        """Fold one joined block (rows that have a duration) in."""
+        """Fold one joined block (rows that have a duration) in.
+
+        Never-invoked rows count in :attr:`functions_seen` but stay out
+        of the rate matrix, mirroring ``Trace.nonzero_functions()``.
+        """
         durations = np.asarray(durations_ms, dtype=np.float64)
         matrix = np.asarray(per_minute)
         fns = np.asarray(function_ids)
@@ -242,8 +161,10 @@ class StreamingTraceSummary:
                 "function_ids must align with durations: "
                 f"{fns.shape} vs {durations.shape}"
             )
-        self.rate.observe_block(durations, matrix)
         totals = matrix.sum(axis=1, dtype=np.int64)
+        invoked = totals > 0
+        if invoked.any():
+            self.rate.observe_block(durations[invoked], matrix[invoked])
         self.duration_sketch.insert_many(durations, totals)
         self.popularity.add_many(fns, totals)
         self.functions_seen += int(fns.size)
@@ -296,14 +217,7 @@ class StreamingTraceSummary:
         stage: integer statistics byte-identical, group durations equal
         up to float accumulation order."""
         keys, matrix, _counts, durations, _sizes = self.rate.finalize()
-        return Trace(
-            name=f"{self.name}/aggregated",
-            function_ids=np.array([f"sf-{k}" for k in keys.tolist()]),
-            app_ids=np.array([f"sf-app-{k}" for k in keys.tolist()]),
-            durations_ms=durations,
-            per_minute=matrix,
-            app_memory_mb={},
-        )
+        return super_function_trace(self.name, keys, durations, matrix)
 
     def invocation_duration_cdf(self) -> EmpiricalCDF:
         """Sketched invocation-weighted duration CDF (with
@@ -530,11 +444,10 @@ def summarize_trace(
             sketch_k=sketch_k, topk_capacity=topk_capacity,
         )
         fold = _ChunkFold(summary, jobs)
-        per_minute = trace.per_minute.astype(np.int64, copy=False)
         for lo in range(0, trace.n_functions, chunk_rows):
             hi = min(lo + chunk_rows, trace.n_functions)
             fold.push(trace.function_ids[lo:hi], trace.durations_ms[lo:hi],
-                      per_minute[lo:hi], hi - lo, 0)
+                      trace.per_minute[lo:hi], hi - lo, 0)
         fold.flush()
         if trace.app_memory_mb:
             summary.observe_memory(trace.app_memory_mb)

@@ -92,3 +92,59 @@ class TestAggregation:
         agg, _ = aggregate_functions(t, quantize_ms=1.0)
         assert agg.n_functions == 1
         assert agg.durations_ms[0] > 0
+
+
+def _never_invoked_trace():
+    """Ten functions, five never invoked: group 100 mixes invoked and
+    never-invoked members, and group 200 (split across shards when
+    ``shards=3``) has no invoked member at all."""
+    per_minute = np.zeros((10, 4), dtype=np.int32)
+    per_minute[0] = [3, 0, 1, 0]
+    per_minute[4] = [0, 2, 0, 0]
+    per_minute[5] = [1, 1, 1, 1]
+    per_minute[7] = [5, 0, 0, 1]
+    per_minute[9] = [0, 0, 0, 7]
+    return Trace(
+        name="pin",
+        function_ids=np.array([f"f{i}" for i in range(10)]),
+        app_ids=np.array(["a"] * 10),
+        durations_ms=np.array([100.2, 99.9, 200.4, 199.8, 50.0, 100.0,
+                               300.3, 50.2, 200.0, 300.0]),
+        per_minute=per_minute,
+    )
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"shards": 3}, {"jobs": 2}],
+                         ids=["default", "shards3", "jobs2"])
+def test_never_invoked_functions_pinned(kwargs):
+    """Never-invoked functions count in ``group_sizes`` and keep their
+    zero rows; a group without an invoked member takes its members'
+    plain mean duration.  Every array is pinned exactly."""
+    agg, audit = aggregate_functions(_never_invoked_trace(), **kwargs)
+    assert agg.name == "pin/aggregated"
+    assert agg.function_ids.tolist() == ["sf-50", "sf-100", "sf-200",
+                                         "sf-300"]
+    assert agg.app_ids.tolist() == ["sf-app-50", "sf-app-100",
+                                    "sf-app-200", "sf-app-300"]
+    assert agg.app_memory_mb == {}
+    assert agg.durations_ms.tolist() == [50.150000000000006, 100.1,
+                                         200.0666666666667, 300.0]
+    assert agg.per_minute.dtype == np.int64
+    assert agg.per_minute.tolist() == [[5, 2, 0, 1], [4, 1, 2, 1],
+                                       [0, 0, 0, 0], [0, 0, 0, 7]]
+    assert audit.original_keys.dtype == np.int64
+    assert audit.original_keys.tolist() == [100, 100, 200, 200, 50, 100,
+                                            300, 50, 200, 300]
+    assert audit.original_shares.tolist() == [
+        0.17391304347826086, 0.0, 0.0, 0.0, 0.08695652173913043,
+        0.17391304347826086, 0.0, 0.2608695652173913, 0.0,
+        0.30434782608695654,
+    ]
+    assert audit.aggregated_keys.dtype == np.int64
+    assert audit.aggregated_keys.tolist() == [50, 100, 200, 300]
+    assert audit.aggregated_shares.tolist() == [
+        0.34782608695652173, 0.34782608695652173, 0.0,
+        0.30434782608695654,
+    ]
+    assert audit.group_sizes.dtype == np.int64
+    assert audit.group_sizes.tolist() == [2, 3, 3, 2]

@@ -337,26 +337,23 @@ def test_rate_matrix_validation():
         acc.observe_block(np.array([1.0]), np.ones((1, 4)))
     with pytest.raises(ValueError, match="no invoked functions"):
         acc.finalize()
-    # all-zero rows are skipped, mirroring nonzero_functions()
-    acc.observe_block(np.array([5.0, 6.0]),
-                      np.array([[1, 0, 0, 2], [0, 0, 0, 0]],
+
+
+def test_rate_matrix_keeps_never_invoked_rows():
+    """Zero rows count in ``sizes``; a group with no invoked member
+    takes its members' plain mean duration."""
+    acc = RateMatrixAccumulator(4)
+    acc.observe_block(np.array([5.0, 6.0, 6.2, 5.3]),
+                      np.array([[1, 0, 0, 2], [0, 0, 0, 0],
+                                [0, 0, 0, 0], [0, 0, 0, 0]],
                                dtype=np.int64))
     keys, matrix, counts, durations, sizes = acc.finalize()
-    assert keys.tolist() == [5]
-    assert counts.tolist() == [3]
-    assert sizes.tolist() == [1]
-    npt.assert_allclose(durations, [5.0])
-    assert acc.n_groups == 1
+    assert keys.tolist() == [5, 6]
+    assert matrix.tolist() == [[1, 0, 0, 2], [0, 0, 0, 0]]
+    assert counts.tolist() == [3, 0]
+    assert sizes.tolist() == [2, 2]
+    assert durations.tolist() == [5.0, (6.0 + 6.2) / 2]
     assert acc.total_invocations == 3
-    # an all-zero block is a no-op, and repeated keys accumulate in place
-    acc.observe_block(np.array([7.0]),
-                      np.zeros((1, 4), dtype=np.int64))
-    assert acc.n_groups == 1
-    acc.observe_block(np.array([5.0, 5.4]),
-                      np.array([[0, 1, 0, 0], [2, 0, 0, 0]],
-                               dtype=np.int64))
-    assert acc.n_groups == 1  # both quantise to key 5
-    assert acc.total_invocations == 6
 
 
 def test_validation_errors():

@@ -19,6 +19,7 @@ from repro.platform.diffsim import (
     random_config,
     shrink,
 )
+from repro.platform.simulator_vec import FaaSCluster
 
 import numpy as np
 
@@ -55,13 +56,17 @@ REGRESSION_CONFIGS = [
     _cfg(seed=4, n_requests=300, horizon_s=0.5, n_nodes=1,
          node_memory_mb=512.0, keepalive="none", queue_timeout_s=3.0,
          batch="bulk"),
-    # feasible bulk slab followed by scalar traffic: outstanding bulk
+    # slab followed by scalar traffic: on 4096 MiB nodes the slab is
+    # infeasible, so it falls back and the scalar loop serves both
+    # halves; the roomy sibling commits it, and its outstanding bulk
     # completions must materialise into heap events with the reference
     # engine's exact sequence numbers
     _cfg(seed=5, n_requests=200, node_memory_mb=4096.0,
          keepalive="none", batch="mixed"),
     # quantized arrivals: equal-timestamp collisions exercise the
-    # (time, sequence) tie-breaking that random arrivals never hit
+    # (time, sequence) tie-breaking that random arrivals never hit --
+    # here in the scalar loop after the infeasible slab falls back, in
+    # the roomy sibling inside the bulk commit
     _cfg(seed=6, n_requests=250, quantize=True, batch="bulk",
          keepalive="none", node_memory_mb=4096.0),
     # deadlock: no queue timeout and a node too small for the backlog;
@@ -73,14 +78,16 @@ REGRESSION_CONFIGS = [
     _cfg(seed=8, n_requests=300, horizon_s=30.0, keepalive="histogram",
          crash_rate=0.1, service_time_cv=0.8, autoscale=True,
          track_memory=True, queue_timeout_s=5.0),
-    # ISSUE 8 envelope: bulk keep-alive replay with a short TTL so warm
-    # reuses and expiries interleave inside one slab -- exercises the
-    # merged sequence assignment and per-pool creation-key replay
+    # short TTL so warm reuses and expiries interleave inside one slab:
+    # the slab overflows 8192 MiB nodes and falls back; the roomy
+    # sibling runs it through the bulk keep-alive scan (merged sequence
+    # assignment, per-pool creation-key replay)
     _cfg(seed=9, n_requests=400, horizon_s=8.0, keepalive="fixed",
          keepalive_ttl=0.2, node_memory_mb=8192.0, batch="bulk"),
-    # jittered service times on the bulk path: one lognormal array draw
-    # must be stream-equal to the scalar loop's per-request draws, and
-    # the rewind on infeasible slabs must restore the jitter RNG too
+    # jittered service times: the slab is infeasible, so the rewind
+    # must restore the jitter RNG before the scalar loop draws; in the
+    # roomy sibling one lognormal array draw must be stream-equal to
+    # the scalar loop's per-request draws
     _cfg(seed=10, n_requests=300, service_time_cv=0.8, keepalive="fixed",
          keepalive_ttl=1.0, node_memory_mb=2048.0, batch="bulk"),
     # tiny chunks: every slab boundary forces a _BulkTail carry, so idle
@@ -94,8 +101,9 @@ REGRESSION_CONFIGS = [
     _cfg(seed=12, n_requests=400, horizon_s=4.0, scheduler="hash",
          keepalive="fixed", keepalive_ttl=1.0, node_memory_mb=8192.0,
          batch="chunked", chunk_rows=7),
-    # zero-TTL FixedKeepAlive takes the one bulk commit as its
-    # degenerate case (no scan, no expiries) under chunked submission
+    # zero-TTL FixedKeepAlive under chunked submission: every chunk is
+    # infeasible and falls back; the roomy sibling commits each chunk
+    # through the bulk commit's degenerate case (no scan, no expiries)
     _cfg(seed=13, n_requests=200, keepalive="fixed", keepalive_ttl=0.0,
          service_time_cv=0.4, node_memory_mb=4096.0,
          batch="chunked", chunk_rows=64),
@@ -132,6 +140,29 @@ REGRESSION_CONFIGS = [
 ]
 
 
+#: The pinned tuples whose slabs fall back as infeasible, each with
+#: nodes roomy enough for its slab, so the bulk path commits it.
+ROOMY_SIBLINGS = [
+    dataclasses.replace(cfg, node_memory_mb=16384.0)
+    for cfg in REGRESSION_CONFIGS if cfg.seed in (5, 6, 9, 10, 13)
+]
+
+
+@pytest.fixture
+def bulk_commits(monkeypatch):
+    """Count the slabs ``FaaSCluster`` commits through the bulk path."""
+    count = [0]
+    commit = FaaSCluster._bulk_commit
+
+    def counting(self, *args, **kwargs):
+        ok = commit(self, *args, **kwargs)
+        count[0] += bool(ok)
+        return ok
+
+    monkeypatch.setattr(FaaSCluster, "_bulk_commit", counting)
+    return count
+
+
 @pytest.mark.parametrize("cfg", REGRESSION_CONFIGS,
                          ids=lambda c: f"seed{c.seed}-{c.batch}")
 def test_pinned_regressions(cfg):
@@ -139,11 +170,21 @@ def test_pinned_regressions(cfg):
     assert mismatch is None, format_reproducer(cfg, mismatch)
 
 
-def test_random_sweep_agrees():
+@pytest.mark.parametrize("cfg", ROOMY_SIBLINGS,
+                         ids=lambda c: f"seed{c.seed}-{c.batch}-roomy")
+def test_roomy_siblings_commit_bulk_slabs(cfg, bulk_commits):
+    mismatch = compare(cfg)
+    assert mismatch is None, format_reproducer(cfg, mismatch)
+    assert bulk_commits[0] >= 1
+
+
+def test_random_sweep_agrees(bulk_commits):
     failures = fuzz(n_tuples=15, seed=0)
     assert not failures, "\n".join(
         format_reproducer(cfg, mismatch) for cfg, mismatch in failures
     )
+    # the sweep reaches the bulk path, not only its fallback
+    assert bulk_commits[0] >= 1
 
 
 def test_random_config_is_always_constructible():

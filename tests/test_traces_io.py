@@ -93,6 +93,13 @@ class TestSchemaValidation:
         with pytest.raises(ValueError, match="no functions"):
             read_invocations_csv(p)
 
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match="empty invocations file") as err:
+            read_invocations_csv(p)
+        assert str(p) in str(err.value)
+
     def test_durations_missing_column(self, tmp_path):
         p = tmp_path / "dur.csv"
         p.write_text("HashFunction\nf1\n")

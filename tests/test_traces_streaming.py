@@ -191,6 +191,33 @@ class TestStreamingTraceSummary:
         assert a[1].tobytes() == b[1].tobytes()
         assert a[2].tobytes() == b[2].tobytes()
 
+    def test_all_zero_rows_skip_the_rate_matrix(self):
+        """Never-invoked rows are counted as seen but kept out of the
+        rate matrix (mirroring ``nonzero_functions()``)."""
+        s = StreamingTraceSummary("z", 4)
+        s.observe_functions(np.array(["f1", "f2"]), np.array([5.0, 6.0]),
+                            np.array([[1, 0, 0, 2], [0, 0, 0, 0]],
+                                     dtype=np.int64))
+        keys, _matrix, counts, durations, sizes = s.aggregated_groups()
+        assert keys.tolist() == [5]
+        assert counts.tolist() == [3]
+        assert sizes.tolist() == [1]
+        npt.assert_allclose(durations, [5.0])
+        assert s.rate.n_groups == 1
+        assert s.rate.total_invocations == 3
+        assert s.functions_seen == 2
+        # an all-zero block leaves the rate matrix alone, and repeated
+        # keys accumulate in place
+        s.observe_functions(np.array(["f3"]), np.array([7.0]),
+                            np.zeros((1, 4), dtype=np.int64))
+        assert s.rate.n_groups == 1
+        s.observe_functions(np.array(["f4", "f5"]), np.array([5.0, 5.4]),
+                            np.array([[0, 1, 0, 0], [2, 0, 0, 0]],
+                                     dtype=np.int64))
+        assert s.rate.n_groups == 1  # both quantise to key 5
+        assert s.rate.total_invocations == 6
+        assert s.functions_seen == 5
+
     def test_misaligned_observe_raises(self):
         s = StreamingTraceSummary("x", 4)
         with pytest.raises(ValueError, match="align"):
