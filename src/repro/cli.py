@@ -243,15 +243,15 @@ def _sim_backend(spec, profile, *, nodes, node_memory, scheduler_name,
     return backend
 
 
-def _sim_backend_factory(spec_path, nodes, node_memory, scheduler_name,
+def _sim_backend_factory(spec, nodes, node_memory, scheduler_name,
                          keepalive_name, keepalive_ttl, seed,
                          error_rate):
     """Build one fresh simulator backend inside a service worker.
 
-    Module-level (and driven through ``functools.partial`` over plain
-    values) so the factory pickles cleanly into spawned processes.
+    Module-level (and driven through ``functools.partial`` over the
+    parsed spec and plain values) so the factory pickles cleanly into
+    spawned processes; the spec is parsed once, by the parent.
     """
-    from repro.core import ExperimentSpec
     from repro.platform import FaultProfile
 
     profile = None
@@ -259,7 +259,7 @@ def _sim_backend_factory(spec_path, nodes, node_memory, scheduler_name,
         profile = FaultProfile()
         profile.error_rate = error_rate
     return _sim_backend(
-        ExperimentSpec.load(spec_path), profile, nodes=nodes,
+        spec, profile, nodes=nodes,
         node_memory=node_memory, scheduler_name=scheduler_name,
         keepalive_name=keepalive_name, keepalive_ttl=keepalive_ttl,
         seed=seed,
@@ -293,7 +293,7 @@ def _cmd_replay_service(args, spec, registry, retry) -> int:
         )
     else:
         factory = functools.partial(
-            _sim_backend_factory, spec_path=args.spec, nodes=args.nodes,
+            _sim_backend_factory, spec=spec, nodes=args.nodes,
             node_memory=args.node_memory, scheduler_name=args.scheduler,
             keepalive_name=args.keepalive,
             keepalive_ttl=args.keepalive_ttl, seed=args.seed,
@@ -824,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="consecutive failures before the breaker opens")
     p.add_argument("--breaker-reset", type=float, default=30.0,
                    help="trace seconds before half-open probing")
-    p.add_argument("--checkpoint", default=None, metavar="NPZ",
+    p.add_argument("--checkpoint", default=None, metavar="FILE",
                    help="checkpoint replay progress to this file")
     p.add_argument("--checkpoint-every", type=int, default=1000,
                    help="requests between checkpoints")

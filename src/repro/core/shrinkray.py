@@ -26,7 +26,7 @@ from repro.core.rate_scaling import scale_request_rate
 from repro.core.spec import ExperimentSpec, SpecEntry
 from repro.core.time_scaling import thumbnail_scale
 from repro.telemetry import registry as _telemetry
-from repro.traces.model import Trace
+from repro.traces.model import Trace, super_function_trace
 from repro.traces.streaming import StreamingTraceSummary
 from repro.workloads.pool import WorkloadPool
 
@@ -179,7 +179,7 @@ class ShrinkRay:
                 f"{self.quantize_ms:g}; re-ingest with matching "
                 "quantisation"
             )
-        keys, _matrix, counts, _durations, sizes = (
+        keys, matrix, counts, durations, sizes = (
             summary.aggregated_groups()
         )
         shares = counts.astype(np.float64) / counts.sum()
@@ -190,7 +190,8 @@ class ShrinkRay:
             aggregated_shares=shares,
             group_sizes=sizes,
         )
-        return summary.to_aggregated_trace(), audit
+        trace = super_function_trace(summary.name, keys, durations, matrix)
+        return trace, audit
 
     def run(
         self,

@@ -16,9 +16,11 @@ from repro.loadgen.replay import Backend, ReplayResult, replay
 from repro.loadgen.requests import RequestTrace
 from repro.loadgen.resilience import (
     OUTCOMES,
+    CheckpointLog,
     CircuitBreaker,
     RetryPolicy,
     load_checkpoint,
+    open_checkpoint_log,
     save_checkpoint,
 )
 from repro.loadgen.service import (
@@ -35,6 +37,7 @@ __all__ = [
     "ARRIVAL_MODES",
     "Backend",
     "BreakerSpec",
+    "CheckpointLog",
     "CircuitBreaker",
     "CoverageReport",
     "OUTCOMES",
@@ -53,6 +56,7 @@ __all__ = [
     "load_request_trace_csv",
     "load_request_trace_npz",
     "minute_offsets",
+    "open_checkpoint_log",
     "replay",
     "run_service",
     "save_checkpoint",

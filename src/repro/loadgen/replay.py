@@ -39,7 +39,7 @@ from repro.loadgen.resilience import (
     CircuitBreaker,
     RetryPolicy,
     deliver,
-    load_checkpoint,
+    open_checkpoint_log,
     save_checkpoint,
 )
 from repro.platform.metrics import RecordList
@@ -242,7 +242,10 @@ def replay(
         arriving while it is open are shed, not submitted.
     checkpoint_path:
         When set, replay progress is checkpointed here every
-        ``checkpoint_every`` completed requests (and once at the end).
+        ``checkpoint_every`` completed requests (and once at the end):
+        each checkpoint appends one record for the requests since the
+        previous one to a log that a run without ``resume`` starts
+        afresh (:func:`~repro.loadgen.resilience.open_checkpoint_log`).
         With ``resume=True`` and an existing checkpoint, the replay
         continues from the stored offset instead of request 0; the
         backend must still hold its earlier state (a live deployment, or
@@ -307,17 +310,19 @@ def replay(
         timestamps = trace.timestamps_s.tolist()
         runtimes = trace.runtimes_ms.tolist() if drift is not None else None
         start = 0
+        log = None
         if resilient:
-            fingerprint = (n, float(timestamps[0]), float(timestamps[-1]))
             outcomes = np.zeros(n, dtype=np.uint8)
             attempts = np.zeros(n, dtype=np.int32)
-            if (resume and checkpoint_path is not None
-                    and Path(checkpoint_path).exists()):
-                start, done_outcomes, done_attempts = load_checkpoint(
-                    checkpoint_path, fingerprint
-                )
-                outcomes[:start] = done_outcomes
-                attempts[:start] = done_attempts
+        if checkpoint_path is not None:
+            log, done_outcomes, done_attempts = open_checkpoint_log(
+                checkpoint_path,
+                (n, float(timestamps[0]), float(timestamps[-1])),
+                resume=resume,
+            )
+            start = log.end
+            outcomes[:start] = done_outcomes
+            attempts[:start] = done_attempts
 
         def send(ts, wid, index, attempt, deadline_left_s):
             backend.invoke(ts, wid)
@@ -325,27 +330,30 @@ def replay(
         # the pacer reads every timestamp: convert them before its clock
         # starts
         t_start = time.perf_counter()  # repro: allow-wall-clock
-        for i in range(start, n):
-            ts = timestamps[i]
-            if pace:
-                # repro: allow-wall-clock (pacer: real time is the point)
-                delay = t_start + ts / speed - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-            if outcomes is None:
-                backend.invoke(ts, workload_ids[i])
-            else:
-                outcomes[i], attempts[i] = deliver(
-                    send, ts, workload_ids[i], i, retry, breaker, speed)
-            if runtimes is not None:
-                drift.observe(runtimes[i], ts)
-            if checkpoint_path is not None and (i + 1) % checkpoint_every == 0:
-                save_checkpoint(checkpoint_path, offset=i + 1,
-                                outcomes=outcomes, attempts=attempts,
-                                trace_fingerprint=fingerprint)
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, offset=n, outcomes=outcomes,
-                            attempts=attempts, trace_fingerprint=fingerprint)
+        try:
+            for i in range(start, n):
+                ts = timestamps[i]
+                if pace:
+                    # repro: allow-wall-clock (pacer: real time is the point)
+                    delay = t_start + ts / speed - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
+                if outcomes is None:
+                    backend.invoke(ts, workload_ids[i])
+                else:
+                    outcomes[i], attempts[i] = deliver(
+                        send, ts, workload_ids[i], i, retry, breaker, speed)
+                if runtimes is not None:
+                    drift.observe(runtimes[i], ts)
+                if log is not None and (i + 1) % checkpoint_every == 0:
+                    save_checkpoint(log, offset=i + 1, outcomes=outcomes,
+                                    attempts=attempts)
+            if log is not None:
+                save_checkpoint(log, offset=n, outcomes=outcomes,
+                                attempts=attempts)
+        finally:
+            if log is not None:
+                log.close()
     if drift is not None:
         drift.flush()
     records = _drain_records(backend)

@@ -14,15 +14,17 @@ for making it misbehave on purpose):
 - :func:`deliver` -- the one per-request delivery loop that applies
   both policies and decides the outcome, shared by
   :func:`repro.loadgen.replay.replay` and the load service;
-- checkpoint save/load -- periodic NPZ snapshots of replay progress so a
-  killed replay resumes from the last completed offset.
+- checkpoint save/load -- an append-only log of replay progress, one
+  record per checkpoint, so a killed replay resumes from the last
+  completed offset.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import struct
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -32,10 +34,12 @@ import numpy as np
 __all__ = [
     "OUTCOMES",
     "OUTCOME_CODES",
+    "CheckpointLog",
     "CircuitBreaker",
     "RetryPolicy",
     "deliver",
     "load_checkpoint",
+    "open_checkpoint_log",
     "save_checkpoint",
 ]
 
@@ -229,96 +233,200 @@ def deliver(send: Callable[..., object], ts: float, workload_id: str,
 # ----------------------------------------------------------------------
 # replay checkpoints
 # ----------------------------------------------------------------------
+#
+# A checkpoint is an append-only log: one header, then one record per
+# checkpoint covering only the requests since the previous one, so a
+# save costs O(window) and the file is O(n) bytes.
+#
+#   header  magic, version u32, n_requests i64, first_ts f64,
+#           last_ts f64, has_shard u8, shard (index, lo, hi) 3 x i64
+#   record  lo i64, hi i64, CRC32 of the payload u32, then the payload:
+#           outcomes[lo:hi] as u8 and attempts[lo:hi] as i32
+#
+# Every field is little-endian.  Records are contiguous from 0.  A kill
+# in the middle of an append leaves a torn final record, which readers
+# ignore and a resumed writer cuts off before it appends.
 
-_CKPT_VERSION = 1
+_CKPT_MAGIC = b"REPROCKP"
+_CKPT_VERSION = 2
+_HEADER = struct.Struct("<8sIqddB3q")
+_RECORD = struct.Struct("<qqI")
+_ZIP_MAGIC = b"PK\x03\x04"  # format 1 was an NPZ (zip) snapshot
 
 
-def save_checkpoint(path: Path | str, *, offset: int,
-                    outcomes: np.ndarray, attempts: np.ndarray,
-                    trace_fingerprint: tuple[int, float, float],
-                    shard: tuple[int, int, int] | None = None) -> None:
-    """Atomically write replay progress through request ``offset``.
+def _header(trace_fingerprint: tuple[int, float, float],
+            shard: tuple[int, int, int] | None) -> bytes:
+    n, first_ts, last_ts = trace_fingerprint
+    return _HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, n, first_ts, last_ts,
+                        shard is not None, *(shard or (0, 0, 0)))
+
+
+class CheckpointLog:
+    """A checkpoint log open for appending; see
+    :func:`open_checkpoint_log`.  ``end`` is the offset its records
+    cover so far."""
+
+    def __init__(self, fh, end: int) -> None:
+        self.fh = fh
+        self.end = end
+
+    def close(self) -> None:
+        self.fh.close()
+
+    def __enter__(self) -> CheckpointLog:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
+def open_checkpoint_log(path: Path | str,
+                        trace_fingerprint: tuple[int, float, float],
+                        *, shard: tuple[int, int, int] | None = None,
+                        resume: bool = False,
+                        ) -> tuple[CheckpointLog, np.ndarray, np.ndarray]:
+    """Open the checkpoint log of one replay or shard at ``path``.
+
+    Returns ``(log, outcomes, attempts)``.  With ``resume`` and an
+    existing file, the stored progress is read and checked as by
+    :func:`load_checkpoint`, a torn final record is truncated away, and
+    ``log.end`` is the stored offset.  Otherwise a fresh file holding
+    only the header replaces whatever was at ``path``, and the arrays
+    are empty.
 
     The fingerprint (``n_requests, first_ts, last_ts``) guards a resume
     against a different trace.  ``shard`` -- ``(shard_index, lo, hi)``
-    in global request coordinates -- extends the fingerprint for the
-    supervised load service, whose per-shard checkpoints must never be
-    resumed into a different shard of the same trace.  The write goes
-    through a temp file + ``os.replace`` so a kill mid-write never
-    leaves a torn checkpoint.
+    in global request coordinates -- extends it for the supervised load
+    service, whose per-shard logs must never be resumed into a
+    different shard of the same trace.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    n, first_ts, last_ts = trace_fingerprint
-    arrays = dict(
-        version=np.int64(_CKPT_VERSION),
-        offset=np.int64(offset),
-        outcomes=np.asarray(outcomes[:offset], dtype=np.uint8),
-        attempts=np.asarray(attempts[:offset], dtype=np.int32),
-        n_requests=np.int64(n),
-        first_ts=np.float64(first_ts),
-        last_ts=np.float64(last_ts),
-    )
-    if shard is not None:
-        arrays["shard"] = np.asarray(shard, dtype=np.int64)
-    with open(tmp, "wb") as fh:  # file handle: savez must not append .npz
-        np.savez(fh, **arrays)
-    os.replace(tmp, path)
+    offset, valid = 0, 0
+    outcomes = np.empty(0, dtype=np.uint8)
+    attempts = np.empty(0, dtype=np.int32)
+    if resume and path.exists():
+        offset, outcomes, attempts, valid = _read_log(
+            path, trace_fingerprint, shard)
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    if valid:
+        fh = open(path, "r+b")
+        fh.seek(valid)
+        fh.truncate()
+    else:
+        fh = open(path, "wb")
+        fh.write(_header(trace_fingerprint, shard))
+        fh.flush()
+    return CheckpointLog(fh, offset), outcomes, attempts
+
+
+def save_checkpoint(log: CheckpointLog, *, offset: int,
+                    outcomes: np.ndarray, attempts: np.ndarray) -> None:
+    """Record replay progress through request ``offset``.
+
+    Appends one record holding ``outcomes`` and ``attempts`` for the
+    window ``[log.end, offset)`` and flushes it; a window that is empty
+    (``offset`` at or before the log's end) writes nothing.
+    """
+    lo = log.end
+    if offset <= lo:
+        return
+    out = np.asarray(outcomes[lo:offset], dtype=np.uint8).tobytes()
+    att = np.asarray(attempts[lo:offset], dtype="<i4").tobytes()
+    fh = log.fh
+    fh.write(_RECORD.pack(lo, offset, zlib.crc32(att, zlib.crc32(out))))
+    fh.write(out)
+    fh.write(att)
+    fh.flush()
+    log.end = offset
 
 
 def load_checkpoint(path: Path | str,
                     trace_fingerprint: tuple[int, float, float],
                     *, shard: tuple[int, int, int] | None = None,
                     ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Read a checkpoint, returning ``(offset, outcomes, attempts)``.
+    """Read a checkpoint log, returning ``(offset, outcomes, attempts)``.
 
-    Raises ValueError if the file does not match ``trace_fingerprint`` --
-    resuming one trace's replay with another is almost certainly a bug.
-    With ``shard`` given, the stored per-shard fingerprint must match it
-    exactly; a whole-trace checkpoint (no stored shard) is likewise
-    rejected, and vice versa.
+    Raises ValueError naming ``path`` if the file is not a format-2 log,
+    does not match ``trace_fingerprint`` -- resuming one trace's replay
+    with another is almost certainly a bug -- or holds a record that is
+    out of order, out of range or fails its CRC.  With ``shard`` given,
+    the stored per-shard fingerprint must match it exactly; a
+    whole-trace log (no stored shard) is likewise rejected, and vice
+    versa.  A torn final record is ignored: ``offset`` is then the end
+    of the record before it.
     """
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        required = {"version", "offset", "outcomes", "attempts",
-                    "n_requests", "first_ts", "last_ts"}
-        missing = required - set(data.files)
-        if missing:
+    return _read_log(Path(path), trace_fingerprint, shard)[:3]
+
+
+def _read_log(path: Path, trace_fingerprint: tuple[int, float, float],
+              shard: tuple[int, int, int] | None,
+              ) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """:func:`load_checkpoint`, plus the byte length of the intact
+    prefix (0 when not even the header was written whole)."""
+    data = path.read_bytes()
+    n, first_ts, last_ts = trace_fingerprint
+    if len(data) < _HEADER.size or not data.startswith(_CKPT_MAGIC):
+        if data.startswith(_ZIP_MAGIC):
             raise ValueError(
-                f"{path}: not a replay checkpoint (missing "
-                f"{sorted(missing)})"
+                f"{path}: format-1 (NPZ) replay checkpoint; this version "
+                f"reads only format-{_CKPT_VERSION} logs, so start the "
+                "replay afresh"
             )
-        if int(data["version"]) != _CKPT_VERSION:
+        if _header(trace_fingerprint, shard).startswith(data):
+            # killed while the header was written: nothing recorded yet
+            return (0, np.empty(0, dtype=np.uint8),
+                    np.empty(0, dtype=np.int32), 0)
+        raise ValueError(f"{path}: not a replay checkpoint")
+    (_magic, version, *stored, has_shard, s_index, s_lo, s_hi,
+     ) = _HEADER.unpack_from(data)
+    if version != _CKPT_VERSION:
+        raise ValueError(
+            f"{path}: checkpoint version {version} unsupported "
+            f"(expected {_CKPT_VERSION})"
+        )
+    if tuple(stored) != (n, first_ts, last_ts):
+        raise ValueError(
+            f"{path}: checkpoint was taken for a different trace "
+            f"(fingerprint {tuple(stored)}, trace {trace_fingerprint})"
+        )
+    stored_shard = (s_index, s_lo, s_hi) if has_shard else None
+    if shard is not None and stored_shard is None:
+        raise ValueError(
+            f"{path}: whole-trace checkpoint cannot resume shard {shard}"
+        )
+    if stored_shard is not None and stored_shard != shard:
+        raise ValueError(
+            f"{path}: checkpoint belongs to shard {stored_shard}, "
+            f"not {shard}"
+        )
+    view = memoryview(data)
+    outcomes: list[np.ndarray] = []
+    attempts: list[np.ndarray] = []
+    offset = 0
+    pos = _HEADER.size
+    while len(data) - pos >= _RECORD.size:
+        lo, hi, crc = _RECORD.unpack_from(data, pos)
+        if lo != offset:
             raise ValueError(
-                f"{path}: checkpoint version {int(data['version'])} "
-                f"unsupported (expected {_CKPT_VERSION})"
+                f"{path}: record [{lo}, {hi}) is not contiguous with "
+                f"offset {offset}"
             )
-        n, first_ts, last_ts = trace_fingerprint
-        stored = (int(data["n_requests"]), float(data["first_ts"]),
-                  float(data["last_ts"]))
-        if stored != (n, first_ts, last_ts):
-            raise ValueError(
-                f"{path}: checkpoint was taken for a different trace "
-                f"(fingerprint {stored}, trace {trace_fingerprint})"
-            )
-        stored_shard = (tuple(int(v) for v in data["shard"])
-                        if "shard" in data.files else None)
-        if shard is not None and stored_shard is None:
-            raise ValueError(
-                f"{path}: whole-trace checkpoint cannot resume shard "
-                f"{shard}"
-            )
-        if stored_shard is not None and stored_shard != shard:
-            raise ValueError(
-                f"{path}: checkpoint belongs to shard {stored_shard}, "
-                f"not {shard}"
-            )
-        offset = int(data["offset"])
-        if not 0 <= offset <= n:
-            raise ValueError(f"{path}: corrupt offset {offset}")
-        outcomes = np.array(data["outcomes"], dtype=np.uint8)
-        attempts = np.array(data["attempts"], dtype=np.int32)
-        if outcomes.shape != (offset,) or attempts.shape != (offset,):
-            raise ValueError(f"{path}: arrays do not match offset")
-    return offset, outcomes, attempts
+        if not lo < hi <= n:
+            raise ValueError(f"{path}: corrupt offset {hi} in record "
+                             f"starting at {lo}")
+        body = pos + _RECORD.size
+        width = hi - lo
+        stop = body + 5 * width
+        if stop > len(data):
+            break  # torn final record: a kill mid-append
+        if zlib.crc32(view[body:stop]) != crc:
+            raise ValueError(f"{path}: record [{lo}, {hi}) fails its CRC")
+        outcomes.append(np.frombuffer(data, np.uint8, width, body))
+        attempts.append(np.frombuffer(data, "<i4", width, body + width))
+        offset = hi
+        pos = stop
+    return (offset,
+            np.concatenate([np.empty(0, np.uint8), *outcomes]),
+            np.concatenate([np.empty(0, np.int32), *attempts]),
+            pos)

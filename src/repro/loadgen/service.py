@@ -8,9 +8,10 @@ Promotes the single-process replay loop to a production-style load
   partition depends on the trace alone, never on the worker count),
   spawns worker processes, monitors them through heartbeat messages on
   a control queue, and on a worker crash or hang deterministically
-  restarts the affected shard from its last atomic checkpoint
-  (:func:`repro.loadgen.resilience.save_checkpoint` NPZ files extended
-  with per-shard fingerprints);
+  restarts the affected shard from its last checkpoint (one
+  append-only :func:`repro.loadgen.resilience.open_checkpoint_log` log
+  per shard, its header extended with the shard's fingerprint, one
+  record per :func:`~repro.loadgen.resilience.save_checkpoint`);
 - a per-worker **constant-throughput open-loop dispatcher** in the wrk2
   mould: send times are scheduled from the *trace clock* (service epoch
   + trace timestamp / speed), never from response completion, so queueing
@@ -68,7 +69,7 @@ from repro.loadgen.resilience import (
     CircuitBreaker,
     RetryPolicy,
     deliver,
-    load_checkpoint,
+    open_checkpoint_log,
     save_checkpoint,
 )
 from repro.parallel import DEFAULT_MAX_SHARDS, plan_shards
@@ -309,7 +310,7 @@ class _ShardWork:
 
 
 def _shard_checkpoint_path(service_dir: str, shard: int) -> Path:
-    return Path(service_dir) / f"shard-{shard:04d}.npz"
+    return Path(service_dir) / f"shard-{shard:04d}.ckpt"
 
 
 def _sleep_until(target_wall_s: float, heartbeat, max_slice_s: float,
@@ -355,21 +356,11 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
     timestamps = ts_all[lo:hi].tolist()
     workload_ids = work.workload_ids[lo:hi].tolist()
     fingerprint = (n_shard, float(timestamps[0]), float(timestamps[-1]))
-    shard_fp = (shard, lo, hi)
     ckpt = _shard_checkpoint_path(work.service_dir, shard)
 
     outcomes = np.zeros(n_shard, dtype=np.uint8)
     attempts = np.zeros(n_shard, dtype=np.int32)
     lag_ms = np.zeros(n_shard, dtype=np.float64)
-    start = 0
-    resumed = 0
-    if ckpt.exists():
-        start, done_outcomes, done_attempts = load_checkpoint(
-            ckpt, fingerprint, shard=shard_fp
-        )
-        outcomes[:start] = done_outcomes
-        attempts[:start] = done_attempts
-        resumed = 1
 
     backend = work.backend_factory()
     retry = work.retry
@@ -378,20 +369,26 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
     fault_plan = work.fault_plan
     inject = (fault_plan is not None and fault_plan.error_rate > 0)
 
+    invoke = backend.invoke
     invoke_at = getattr(backend, "invoke_at", None)
     scheduled_wall = None
 
-    def send(ts, wid, i, attempt, deadline_left_s):
-        if inject and fault_plan.should_error(i, attempt):
-            raise ServiceInjectedError(
-                f"injected service fault for request {i}"
-            )
-        if invoke_at is None:
-            backend.invoke(ts, wid)
-        else:
-            # scheduled_wall is read at call time: the current request's
-            invoke_at(ts, wid, scheduled_wall_s=scheduled_wall,
-                      deadline_s=deadline_left_s)
+    if invoke_at is None and not inject:
+        def send(ts, wid, i, attempt, deadline_left_s):
+            invoke(ts, wid)
+    else:
+        def send(ts, wid, i, attempt, deadline_left_s):
+            if inject and fault_plan.should_error(i, attempt):
+                raise ServiceInjectedError(
+                    f"injected service fault for request {i}"
+                )
+            if invoke_at is None:
+                invoke(ts, wid)
+            else:
+                # scheduled_wall is read at call time: the current
+                # request's send time
+                invoke_at(ts, wid, scheduled_wall_s=scheduled_wall,
+                          deadline_s=deadline_left_s)
 
     config = work.config
     pace = np.isfinite(config.speed)
@@ -400,43 +397,56 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
     max_lag_s = config.max_lag_s
     hb_every = config.heartbeat_every
     hb_slice = 0.5
+    every = config.checkpoint_every
     shed_overload = 0
     shed_breaker = 0
 
-    for j in range(start, n_shard):
-        i = lo + j  # global request index: keys backoff + fault draws
-        ts = timestamps[j]
-        if heartbeat is not None and j % hb_every == 0:
-            heartbeat(j)
-        if pace:
-            scheduled_wall = epoch + ts / speed
-            _sleep_until(scheduled_wall, heartbeat, hb_slice)
-            lag = clock() - scheduled_wall
-            if lag > 0:
-                lag_ms[j] = lag * 1e3
-                if max_lag_s is not None and lag > max_lag_s:
-                    # overload: shed the admission explicitly instead of
-                    # letting the schedule silently slip (coordinated
-                    # omission) -- the ledger records it as `shed`
-                    outcomes[j] = _SHED
-                    attempts[j] = 0
-                    shed_overload += 1
-                    continue
-        code, n_attempts = deliver(send, ts, workload_ids[j], i, retry,
-                                   breaker, speed)
-        outcomes[j] = code
-        attempts[j] = n_attempts
-        if code == _SHED:  # overload sheds never reach deliver()
-            shed_breaker += 1
-        if (j + 1) % config.checkpoint_every == 0:
-            save_checkpoint(ckpt, offset=j + 1, outcomes=outcomes,
-                            attempts=attempts,
-                            trace_fingerprint=fingerprint,
-                            shard=shard_fp)
-
-    save_checkpoint(ckpt, offset=n_shard, outcomes=outcomes,
-                    attempts=attempts, trace_fingerprint=fingerprint,
-                    shard=shard_fp)
+    resumed = int(ckpt.exists())
+    log, done_outcomes, done_attempts = open_checkpoint_log(
+        ckpt, fingerprint, shard=(shard, lo, hi), resume=True
+    )
+    with log:
+        start = log.end
+        outcomes[:start] = done_outcomes
+        attempts[:start] = done_attempts
+        # count to the next heartbeat and checkpoint (the multiples of
+        # their cadences) instead of taking a modulus per request
+        next_beat = (-(-start // hb_every) * hb_every
+                     if heartbeat is not None else -1)
+        next_ckpt = start - start % every + every
+        for j in range(start, n_shard):
+            if j == next_ckpt:
+                save_checkpoint(log, offset=j, outcomes=outcomes,
+                                attempts=attempts)
+                next_ckpt += every
+            if j == next_beat:
+                heartbeat(j)
+                next_beat += hb_every
+            i = lo + j  # global request index: keys backoff + fault draws
+            ts = timestamps[j]
+            if pace:
+                scheduled_wall = epoch + ts / speed
+                _sleep_until(scheduled_wall, heartbeat, hb_slice)
+                lag = clock() - scheduled_wall
+                if lag > 0:
+                    lag_ms[j] = lag * 1e3
+                    if max_lag_s is not None and lag > max_lag_s:
+                        # overload: shed the admission explicitly
+                        # instead of letting the schedule silently slip
+                        # (coordinated omission) -- the ledger records
+                        # it as `shed`
+                        outcomes[j] = _SHED
+                        attempts[j] = 0
+                        shed_overload += 1
+                        continue
+            code, n_attempts = deliver(send, ts, workload_ids[j], i, retry,
+                                       breaker, speed)
+            outcomes[j] = code
+            attempts[j] = n_attempts
+            if code == _SHED:  # overload sheds never reach deliver()
+                shed_breaker += 1
+        save_checkpoint(log, offset=n_shard, outcomes=outcomes,
+                        attempts=attempts)
     records = _drain_records(backend) if config.collect_records else []
     return {
         "shard": shard,
@@ -502,8 +512,13 @@ class _WorkerState:
 def _prepare_service_dir(service_dir: Path, resume: bool) -> None:
     service_dir.mkdir(parents=True, exist_ok=True)
     if not resume:
-        for p in service_dir.glob("shard-*.npz"):
+        for p in service_dir.glob("shard-*.ckpt"):
             p.unlink()
+    elif any(service_dir.glob("shard-*.npz")):
+        raise ValueError(
+            f"{service_dir}: holds format-1 (NPZ) shard checkpoints, "
+            "which this version cannot resume; run without resume"
+        )
 
 
 def _supervise(work: _ShardWork, config: ServiceConfig,
@@ -514,7 +529,7 @@ def _supervise(work: _ShardWork, config: ServiceConfig,
     pipe (ownership is always unambiguous).  A dead, channel-broken, or
     heartbeat-silent worker forfeits its shard, which is re-queued
     (bounded by ``max_restarts_per_shard``) and handed to a replacement
-    worker that resumes from the shard's last atomic checkpoint.
+    worker that resumes from the shard's last complete checkpoint record.
     """
     import multiprocessing
     from multiprocessing import connection as mp_connection

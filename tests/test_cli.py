@@ -80,7 +80,7 @@ class TestCommands:
 
         profile = tmp_path / "faults.json"
         profile.write_text(json.dumps({"error_rate": 0.05, "seed": 7}))
-        ckpt = tmp_path / "replay.ckpt.npz"
+        ckpt = tmp_path / "replay.ckpt"
         rc = main([
             "replay", "--spec", str(spec_path), "--nodes", "4",
             "--fault-profile", str(profile), "--retry", "3",
@@ -99,6 +99,40 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "already complete at resume" in out
+
+    def test_replay_service_parses_the_spec_once(
+            self, spec_path, tmp_path, monkeypatch, capsys):
+        """The service workers build their backends from the spec the
+        parent parsed: removing the file after that parse changes no
+        output line."""
+        from repro.core import ExperimentSpec
+
+        def run(path, service_dir):
+            rc = main(["replay", "--spec", str(path), "--nodes", "4",
+                       "--service", "--workers", "1", "--retry", "2",
+                       "--error-rate", "0.05",
+                       "--service-dir", str(service_dir)])
+            assert rc == 0
+            # drop the wall-clock line and the report path
+            return capsys.readouterr().out.splitlines()[1:-1]
+
+        reference = run(spec_path, tmp_path / "ref")
+        copy = tmp_path / "spec.json"
+        copy.write_bytes(spec_path.read_bytes())
+        loads = []
+        load = ExperimentSpec.load.__func__
+
+        def load_then_remove(cls, path):
+            loads.append(path)
+            spec = load(cls, path)
+            copy.unlink()
+            return spec
+
+        monkeypatch.setattr(ExperimentSpec, "load",
+                            classmethod(load_then_remove))
+        assert run(copy, tmp_path / "svc") == reference
+        assert loads == [str(copy)]
+        assert reference[0].startswith("  coverage            : complete")
 
     def test_replay_error_rate_shortcut(self, spec_path, capsys):
         rc = main(["replay", "--spec", str(spec_path), "--nodes", "4",

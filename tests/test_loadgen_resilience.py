@@ -1,5 +1,7 @@
 """Tests for the resilient replay engine: retries, breaker, checkpoints."""
 
+import math
+import struct
 import zlib
 
 import numpy as np
@@ -11,6 +13,7 @@ from repro.loadgen import (
     RequestTrace,
     RetryPolicy,
     load_checkpoint,
+    open_checkpoint_log,
     replay,
     save_checkpoint,
 )
@@ -300,25 +303,31 @@ class TestOutcomeMetrics:
         assert clean.attempts is None
 
 
+def _write_log(path, offset, outcomes, attempts, fingerprint,
+               shard=None):
+    """A fresh checkpoint log holding one record: ``[0, offset)``."""
+    log, _, _ = open_checkpoint_log(path, fingerprint, shard=shard)
+    with log:
+        save_checkpoint(log, offset=offset, outcomes=outcomes,
+                        attempts=attempts)
+
+
 class TestCheckpoints:
     def test_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "c.npz"
+        path = tmp_path / "c.ckpt"
         outcomes = np.array([0, 1, 2], dtype=np.uint8)
         attempts = np.array([1, 2, 3], dtype=np.int32)
-        save_checkpoint(path, offset=3, outcomes=outcomes,
-                        attempts=attempts,
-                        trace_fingerprint=(10, 0.0, 9.0))
+        _write_log(path, 3, outcomes, attempts, (10, 0.0, 9.0))
         off, o, a = load_checkpoint(path, (10, 0.0, 9.0))
         assert off == 3
         np.testing.assert_array_equal(o, outcomes)
         np.testing.assert_array_equal(a, attempts)
+        assert o.dtype == np.uint8 and a.dtype == np.int32
 
     def test_load_rejects_wrong_trace(self, tmp_path):
-        path = tmp_path / "c.npz"
-        save_checkpoint(path, offset=1,
-                        outcomes=np.zeros(1, np.uint8),
-                        attempts=np.ones(1, np.int32),
-                        trace_fingerprint=(10, 0.0, 9.0))
+        path = tmp_path / "c.ckpt"
+        _write_log(path, 1, np.zeros(1, np.uint8), np.ones(1, np.int32),
+                   (10, 0.0, 9.0))
         with pytest.raises(ValueError, match="different trace"):
             load_checkpoint(path, (11, 0.0, 9.0))
 
@@ -359,7 +368,7 @@ class TestCheckpoints:
             def drain(self):
                 return self.inner.drain()
 
-        path = tmp_path / "replay.ckpt.npz"
+        path = tmp_path / "replay.ckpt"
         backend = make_backend()
         with pytest.raises(KeyboardInterrupt):
             replay(trace, _KillAtRequest(backend, 200), retry=policy,
@@ -374,23 +383,17 @@ class TestCheckpoints:
         assert resumed.records == reference.records
 
     def test_shard_fingerprint_round_trip(self, tmp_path):
-        path = tmp_path / "shard.npz"
-        save_checkpoint(path, offset=2,
-                        outcomes=np.zeros(2, np.uint8),
-                        attempts=np.ones(2, np.int32),
-                        trace_fingerprint=(25, 0.0, 9.0),
-                        shard=(3, 75, 100))
+        path = tmp_path / "shard.ckpt"
+        _write_log(path, 2, np.zeros(2, np.uint8), np.ones(2, np.int32),
+                   (25, 0.0, 9.0), shard=(3, 75, 100))
         off, o, a = load_checkpoint(path, (25, 0.0, 9.0),
                                     shard=(3, 75, 100))
         assert off == 2
 
     def test_shard_checkpoint_rejects_other_shard(self, tmp_path):
-        path = tmp_path / "shard.npz"
-        save_checkpoint(path, offset=1,
-                        outcomes=np.zeros(1, np.uint8),
-                        attempts=np.ones(1, np.int32),
-                        trace_fingerprint=(25, 0.0, 9.0),
-                        shard=(3, 75, 100))
+        path = tmp_path / "shard.ckpt"
+        _write_log(path, 1, np.zeros(1, np.uint8), np.ones(1, np.int32),
+                   (25, 0.0, 9.0), shard=(3, 75, 100))
         with pytest.raises(ValueError, match="belongs to shard"):
             load_checkpoint(path, (25, 0.0, 9.0), shard=(2, 50, 75))
         # and a shard checkpoint cannot be resumed as a whole trace
@@ -398,11 +401,9 @@ class TestCheckpoints:
             load_checkpoint(path, (25, 0.0, 9.0))
 
     def test_whole_trace_checkpoint_rejected_for_shard(self, tmp_path):
-        path = tmp_path / "whole.npz"
-        save_checkpoint(path, offset=1,
-                        outcomes=np.zeros(1, np.uint8),
-                        attempts=np.ones(1, np.int32),
-                        trace_fingerprint=(25, 0.0, 9.0))
+        path = tmp_path / "whole.ckpt"
+        _write_log(path, 1, np.zeros(1, np.uint8), np.ones(1, np.int32),
+                   (25, 0.0, 9.0))
         with pytest.raises(ValueError, match="whole-trace"):
             load_checkpoint(path, (25, 0.0, 9.0), shard=(0, 0, 25))
 
@@ -411,14 +412,14 @@ class TestCheckpoints:
         backend = _FlakyBackend(fail_first=0)
         result = replay(trace, backend,
                         retry=RetryPolicy(max_attempts=2),
-                        checkpoint_path=tmp_path / "none.npz",
+                        checkpoint_path=tmp_path / "none.ckpt",
                         resume=True)
         assert result.outcome_counts()["ok"] == 20
 
     def test_checkpoint_every_validated(self):
         with pytest.raises(ValueError, match="checkpoint_every"):
             replay(make_trace(n=5), _DeadBackend(),
-                   checkpoint_path="x.npz", checkpoint_every=0)
+                   checkpoint_path="x.ckpt", checkpoint_every=0)
 
 
 class TestOneLedgerFromBothModes:
@@ -520,25 +521,162 @@ class TestValidationEdges:
             CircuitBreaker(half_open_probes=0)
 
     def test_foreign_or_future_checkpoint_rejected(self, tmp_path):
-        foreign = tmp_path / "foreign.npz"
-        np.savez(foreign, x=np.zeros(1))
+        foreign = tmp_path / "foreign.ckpt"
+        foreign.write_bytes(b"not a checkpoint log, just some bytes " * 4)
         with pytest.raises(ValueError, match="not a replay checkpoint"):
             load_checkpoint(foreign, (1, 0.0, 0.0))
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, offset=1, outcomes=np.zeros(1, np.uint8),
-                        attempts=np.ones(1, np.int32),
-                        trace_fingerprint=(2, 0.0, 1.0))
-        with np.load(path) as data:
-            arrays = dict(data)
-        np.savez(tmp_path / "future.npz", **{**arrays,
-                                             "version": np.int64(99)})
+        old = tmp_path / "old.npz"  # format 1 was an NPZ snapshot
+        np.savez(old, offset=np.int64(0))
+        with pytest.raises(ValueError, match="format-1"):
+            load_checkpoint(old, (1, 0.0, 0.0))
+        header = _header((2, 0.0, 1.0))
+        future = bytearray(header)
+        future[8:12] = (99).to_bytes(4, "little")
+        (tmp_path / "future.ckpt").write_bytes(bytes(future))
         with pytest.raises(ValueError, match="version 99"):
-            load_checkpoint(tmp_path / "future.npz", (2, 0.0, 1.0))
-        np.savez(tmp_path / "offset.npz", **{**arrays,
-                                             "offset": np.int64(3)})
-        with pytest.raises(ValueError, match="corrupt offset"):
-            load_checkpoint(tmp_path / "offset.npz", (2, 0.0, 1.0))
-        np.savez(tmp_path / "short.npz", **{**arrays,
-                                            "offset": np.int64(2)})
-        with pytest.raises(ValueError, match="do not match"):
-            load_checkpoint(tmp_path / "short.npz", (2, 0.0, 1.0))
+            load_checkpoint(tmp_path / "future.ckpt", (2, 0.0, 1.0))
+        # a complete record reaching past the trace's last request
+        (tmp_path / "offset.ckpt").write_bytes(
+            header + _record(0, 3, [0, 0, 0], [1, 1, 1]))
+        with pytest.raises(ValueError, match="corrupt offset 3"):
+            load_checkpoint(tmp_path / "offset.ckpt", (2, 0.0, 1.0))
+        # a record whose arrays are shorter than its window, followed
+        # by another record: the window reads into the next record
+        short = _record(0, 2, [0, 0], [1, 1])[:-5]
+        (tmp_path / "short.ckpt").write_bytes(
+            _header((4, 0.0, 1.0)) + short + _record(2, 4, [0, 0], [1, 1]))
+        with pytest.raises(ValueError, match="CRC"):
+            load_checkpoint(tmp_path / "short.ckpt", (4, 0.0, 1.0))
+
+
+# Format-2 layout, spelled out so the tests pin it: a 61-byte header
+# (magic, version, n, first_ts, last_ts, has-shard flag, shard triple)
+# and, per record, a 20-byte frame (lo, hi, CRC32) before 5 bytes per
+# request (u8 outcome, little-endian i32 attempts).
+HEADER_BYTES = 61
+RECORD_BYTES = 20
+
+
+def _header(fingerprint, version=2):
+    n, first_ts, last_ts = fingerprint
+    return (b"REPROCKP" + struct.pack("<Iqdd", version, n, first_ts,
+                                      last_ts)
+            + bytes(25))
+
+
+def _record(lo, hi, outcomes, attempts):
+    payload = (np.asarray(outcomes, np.uint8).tobytes()
+               + np.asarray(attempts, "<i4").tobytes())
+    return struct.pack("<qqI", lo, hi, zlib.crc32(payload)) + payload
+
+
+class TestCheckpointLog:
+    """The append-only format: size, torn tails, corrupt records."""
+
+    N, EVERY = 250, 100
+    RETRY = RetryPolicy(max_attempts=3, seed=5)
+
+    def _replay(self, path, resume=False):
+        return replay(make_trace(n=self.N), _KeyedAttemptBackend(),
+                      retry=self.RETRY, checkpoint_path=path,
+                      checkpoint_every=self.EVERY, resume=resume)
+
+    @pytest.mark.parametrize("n,every", [(250, 100), (200, 100), (7, 1000),
+                                         (5, 1)])
+    def test_size_is_header_frames_and_five_bytes_a_request(
+            self, tmp_path, n, every):
+        path = tmp_path / "replay.ckpt"
+        replay(make_trace(n=n), _KeyedAttemptBackend(), retry=self.RETRY,
+               checkpoint_path=path, checkpoint_every=every)
+        assert _header((n, 0.0, 0.0))[:12] == path.read_bytes()[:12]
+        assert path.stat().st_size == (HEADER_BYTES
+                                       + math.ceil(n / every) * RECORD_BYTES
+                                       + 5 * n)
+
+    def test_torn_tail_at_every_byte_resumes_identically(self, tmp_path):
+        """Cut the log at every byte inside its last record: the reader
+        falls back to the record before, and a resumed replay rebuilds
+        the uninterrupted run's ledger and log byte for byte."""
+        full = tmp_path / "full.ckpt"
+        reference = self._replay(full)
+        data = full.read_bytes()
+        fingerprint = (self.N, *(float(t) for t in
+                                 make_trace(n=self.N).timestamps_s[[0, -1]]))
+        last = HEADER_BYTES + 2 * (RECORD_BYTES + 5 * self.EVERY)
+        assert last + RECORD_BYTES + 5 * (self.N - 2 * self.EVERY) == len(data)
+        torn = tmp_path / "torn.ckpt"
+        for cut in range(last, len(data)):
+            torn.write_bytes(data[:cut])
+            off, o, a = load_checkpoint(torn, fingerprint)
+            assert off == 2 * self.EVERY
+            assert o.tobytes() == reference.outcomes[:off].tobytes()
+            assert a.tobytes() == reference.attempts[:off].tobytes()
+            resumed = self._replay(torn, resume=True)
+            assert resumed.outcomes.tobytes() == reference.outcomes.tobytes()
+            assert resumed.attempts.tobytes() == reference.attempts.tobytes()
+            assert torn.read_bytes() == data
+
+    def test_torn_header_starts_from_zero(self, tmp_path):
+        fingerprint = (3, 0.0, 2.0)
+        path = tmp_path / "c.ckpt"
+        for cut in (0, 5, HEADER_BYTES - 1):
+            path.write_bytes(_header(fingerprint)[:cut])
+            assert load_checkpoint(path, fingerprint)[0] == 0
+            log, o, a = open_checkpoint_log(path, fingerprint, resume=True)
+            with log:
+                assert log.end == 0 and o.size == a.size == 0
+                save_checkpoint(log, offset=3, outcomes=np.zeros(3, np.uint8),
+                                attempts=np.ones(3, np.int32))
+            assert load_checkpoint(path, fingerprint)[0] == 3
+        # a partial header of another trace is not a torn header
+        path.write_bytes(_header((4, 0.0, 2.0))[:30])
+        with pytest.raises(ValueError, match="not a replay checkpoint"):
+            load_checkpoint(path, fingerprint)
+
+    def test_corrupt_complete_record_raises(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        self._replay(path)
+        data = path.read_bytes()
+        fingerprint = (self.N, *(float(t) for t in
+                                 make_trace(n=self.N).timestamps_s[[0, -1]]))
+        middle = HEADER_BYTES + RECORD_BYTES + 5 * self.EVERY + RECORD_BYTES
+        for pos in (middle + 3, len(data) - 1):  # a middle and the final
+            bad = bytearray(data)
+            bad[pos] ^= 0x40
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ValueError, match=f"{path.name}.*CRC"):
+                load_checkpoint(path, fingerprint)
+            with pytest.raises(ValueError, match="CRC"):
+                self._replay(path, resume=True)
+
+    def test_non_contiguous_window_raises(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(_header((4, 0.0, 1.0))
+                         + _record(0, 2, [0, 0], [1, 1])
+                         + _record(3, 4, [0], [1]))
+        with pytest.raises(ValueError, match="not contiguous"):
+            load_checkpoint(path, (4, 0.0, 1.0))
+
+    def test_empty_window_writes_nothing(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        outcomes = np.zeros(4, np.uint8)
+        attempts = np.ones(4, np.int32)
+        log, _, _ = open_checkpoint_log(path, (4, 0.0, 1.0))
+        with log:
+            save_checkpoint(log, offset=2, outcomes=outcomes,
+                            attempts=attempts)
+            size = path.stat().st_size
+            save_checkpoint(log, offset=2, outcomes=outcomes,
+                            attempts=attempts)
+            assert path.stat().st_size == size and log.end == 2
+            save_checkpoint(log, offset=4, outcomes=outcomes,
+                            attempts=attempts)
+        assert path.stat().st_size == size + RECORD_BYTES + 10
+        assert load_checkpoint(path, (4, 0.0, 1.0))[0] == 4
+
+    def test_run_without_resume_starts_a_fresh_log(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(b"stale bytes of an earlier run")
+        self._replay(path)
+        assert path.stat().st_size == (HEADER_BYTES + 3 * RECORD_BYTES
+                                       + 5 * self.N)

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from repro.loadgen import RequestTrace
-from repro.loadgen.resilience import OUTCOME_CODES, RetryPolicy
+from repro.loadgen.resilience import (
+    OUTCOME_CODES,
+    RetryPolicy,
+    load_checkpoint,
+)
 from repro.loadgen.service import (
     BreakerSpec,
     ServiceConfig,
@@ -555,6 +559,40 @@ class TestShardLoopEdges:
         assert beats == [0, 2, 4]  # every heartbeat_every-th request
         assert _shard_checkpoint_path(str(tmp_path), 0).exists()
 
+    def test_torn_shard_log_resumes_identically(self, tmp_path):
+        """Cut a shard's checkpoint log at every byte inside its last
+        record: the resumed shard rebuilds the uninterrupted run's
+        ledger and log byte for byte."""
+        from repro.loadgen.service import (
+            _run_shard,
+            _shard_checkpoint_path,
+        )
+
+        trace = make_trace(n=60)
+        kw = dict(config=self._config(checkpoint_every=25),
+                  backend_factory=_flaky_factory,
+                  retry=RetryPolicy(max_attempts=2, base_delay_s=0.0,
+                                    seed=1))
+        (tmp_path / "ref").mkdir()
+        (tmp_path / "torn").mkdir()
+        reference = _run_shard(0, self._work(tmp_path / "ref", trace, **kw))
+        assert len(set(reference["outcomes"].tolist())) > 1
+        data = _shard_checkpoint_path(str(tmp_path / "ref"), 0).read_bytes()
+        torn = _shard_checkpoint_path(str(tmp_path / "torn"), 0)
+        last = len(data) - (20 + 5 * 10)  # frame + the last 10 requests
+        ts = trace.timestamps_s
+        fingerprint = (60, float(ts[0]), float(ts[-1]))
+        for cut in range(last, len(data)):
+            torn.write_bytes(data[:cut])
+            assert load_checkpoint(torn, fingerprint, shard=(0, 0, 60))[0] \
+                == 50
+            resumed = _run_shard(0, self._work(tmp_path / "torn", trace,
+                                               **kw))
+            assert resumed["resumed"] == 1
+            for key in ("outcomes", "attempts"):
+                assert resumed[key].tobytes() == reference[key].tobytes()
+            assert torn.read_bytes() == data
+
     def test_non_retryable_error_is_dropped(self, tmp_path):
         from repro.loadgen.service import _run_shard
 
@@ -632,12 +670,20 @@ class TestShardLoopEdges:
     def test_prepare_service_dir_clears_stale_state(self, tmp_path):
         from repro.loadgen.service import _prepare_service_dir
 
-        ckpt = tmp_path / "shard-0000.npz"
+        ckpt = tmp_path / "shard-0000.ckpt"
         ckpt.touch()
         _prepare_service_dir(tmp_path, resume=True)
         assert ckpt.exists()          # checkpoints survive a resume
         _prepare_service_dir(tmp_path, resume=False)
         assert not ckpt.exists()
+
+    def test_resume_refuses_format_1_shard_checkpoints(self, tmp_path):
+        from repro.loadgen.service import _prepare_service_dir
+
+        (tmp_path / "shard-0000.npz").touch()
+        with pytest.raises(ValueError, match="format-1"):
+            _prepare_service_dir(tmp_path, resume=True)
+        _prepare_service_dir(tmp_path, resume=False)  # a fresh run is fine
 
     def test_fault_plan_accessors(self):
         plan = ServiceFaultPlan(error_rate=0.0)

@@ -1,5 +1,6 @@
 """Tests for the HTTP backend, stub server, and CO-safe recording."""
 
+import gc
 import time
 
 import pytest
@@ -73,6 +74,23 @@ class TestCoordinatedOmissionSafety:
     """Acceptance: latencies are measured from the *scheduled* send
     time, and the record structure separates dispatcher stall
     (queueing) from backend slowness (service time)."""
+
+    @pytest.fixture(autouse=True)
+    def _no_collector_pause(self):
+        """Keep the garbage collector out of the timed requests.
+
+        A full collection of the test process's heap can take a few
+        hundred milliseconds after a long suite; inside a request it
+        would read as backend service time, which these tests compare
+        against a 200 ms dispatch lag.  Collect first, then hold the
+        collector off until the test ends.
+        """
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
 
     def test_latency_measured_from_scheduled_send(self):
         lag_s = 0.2

@@ -132,6 +132,26 @@ def test_jobs_fanout_is_byte_identical(source, chunk_rows):
     assert spec_seq.to_dict() == spec_fan.to_dict()
 
 
+def test_streaming_shrink_finalizes_once(source, monkeypatch):
+    """The aggregation stage stacks the group rate matrix once per
+    streaming shrink, not once for the audit and again for the trace."""
+    from repro.stats.sketches import RateMatrixAccumulator
+
+    summary = stream_azure_day(source["dir"], chunk_rows=64)
+    calls = []
+    finalize = RateMatrixAccumulator.finalize
+
+    def counting(self):
+        calls.append(self)
+        return finalize(self)
+
+    monkeypatch.setattr(RateMatrixAccumulator, "finalize", counting)
+    spec = ShrinkRay(jobs=1).run(summary, source["pool"], max_rps=MAX_RPS,
+                                 duration_minutes=DURATION_MIN, seed=SEED)
+    assert len(calls) == 1
+    assert spec.per_minute.tobytes() == source["spec"].per_minute.tobytes()
+
+
 def test_exact_stats_invariant_across_chunk_sizes(source):
     """Rate matrix + popularity counts never depend on chunking."""
     matrices = []
