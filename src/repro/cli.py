@@ -744,6 +744,8 @@ def _add_parallel_cache_flags(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.platform.schedulers import SCHEDULERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="FaaSRail reproduction: representative FaaS load "
@@ -799,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=8)
     p.add_argument("--node-memory", type=float, default=16_384.0)
     p.add_argument("--scheduler", default="least-loaded",
-                   choices=["least-loaded", "random", "hash"])
+                   choices=list(SCHEDULERS))
     p.add_argument("--keepalive", default="fixed",
                    choices=["none", "fixed", "histogram"])
     p.add_argument("--keepalive-ttl", type=float, default=600.0)

@@ -8,7 +8,8 @@ pressure, scheduling-policy shootouts) are possible without giving up
 the byte-identity contract.  The policies' :meth:`CpuPolicy.contend`
 and :meth:`CpuPolicy.weight` are the only implementation of
 contention: every run with a :class:`CpuModel` takes the engines'
-scalar event loop, which calls them once per admission.
+scalar event loop, which calls ``contend`` once per admission and
+reads ``weight`` once per workload when the loop starts.
 
 Semantics (identical in both engines, applied at admission time like
 every other service-time modifier):
@@ -54,7 +55,10 @@ class CpuPolicy(Protocol):
 
     Both hooks must be *pure*: both engines call them from their scalar
     event loops, and byte-identity across engines holds only if the
-    same arguments always produce the same floats.
+    same arguments always produce the same floats.  The loop relies on
+    it: it calls ``contend`` per admission but reads ``weight`` once per
+    workload per loop start, and reuses that value at every admission,
+    completion and crash.
     """
 
     def weight(self, workload_id: str) -> float:
@@ -206,9 +210,11 @@ class CpuModel:
     """Per-node CPU topology + scheduling policy.
 
     Passed to either engine as the ``cpu=`` knob; a cluster with one
-    always runs the scalar event loop.  ``quantum_s`` is the scheduler
-    timeslice used for preemption accounting; 20 ms mirrors a typical
-    CFS target latency share.  ``CpuModel(cores=k,
+    always runs the scalar event loop, which reads ``cores``,
+    ``quantum_s`` and the policy's hooks once per loop start (see
+    :class:`CpuPolicy` for what it reuses).  ``quantum_s`` is the
+    scheduler timeslice used for preemption accounting; 20 ms mirrors a
+    typical CFS target latency share.  ``CpuModel(cores=k,
     policy=ShortestFirstCpu())`` gives the classic first-order
     oversubscription slowdown (service time times ``concurrent / k``)
     for every invocation longer than one quantum.

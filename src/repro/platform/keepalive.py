@@ -20,7 +20,8 @@ trade-off the paper's motivation discusses.  Three policies:
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from bisect import bisect_left, insort
+from collections import deque
 
 __all__ = [
     "NoKeepAlive",
@@ -75,6 +76,13 @@ class HistogramKeepAlive:
     TTL to the requested percentile of that window -- enough to cover the
     typical gap without holding memory through the long tail.  Falls back
     to ``default_ttl_s`` until enough observations accumulate.
+
+    Each window is held twice: in arrival order (which gap leaves next)
+    and sorted (a gap goes in with ``insort`` and the leaving one is
+    deleted at its ``bisect_left`` position), so ``ttl_s`` indexes the
+    percentile instead of sorting the window on every call.  Equal gaps
+    stay in arrival order in the sorted copy, so it is exactly what a
+    stable sort of the window would give.
     """
 
     def __init__(
@@ -98,22 +106,31 @@ class HistogramKeepAlive:
         self._min = min_ttl_s
         self._max = max_ttl_s
         self._min_obs = min_observations
-        self._gaps: dict[str, deque[float]] = defaultdict(
-            lambda: deque(maxlen=window)
-        )
+        self._window = window
+        #: workload -> (window in arrival order, the same gaps sorted)
+        self._gaps: dict[str, tuple[deque[float], list[float]]] = {}
 
     def observe_idle_gap(self, workload_id: str, gap_s: float) -> None:
-        if gap_s >= 0:
-            self._gaps[workload_id].append(gap_s)
+        if not gap_s >= 0:  # negative or NaN: not an idle gap
+            return
+        entry = self._gaps.get(workload_id)
+        if entry is None:
+            entry = self._gaps[workload_id] = (deque(), [])
+        arrivals, ordered = entry
+        if len(arrivals) == self._window:
+            del ordered[bisect_left(ordered, arrivals.popleft())]
+        arrivals.append(gap_s)
+        insort(ordered, gap_s)
 
     def ttl_s(self, workload_id: str) -> float:
-        gaps = self._gaps.get(workload_id)
-        if not gaps or len(gaps) < self._min_obs:
+        entry = self._gaps.get(workload_id)
+        if entry is None:
             return self._default
-        ordered = sorted(gaps)
-        k = min(
-            int(len(ordered) * self._pct / 100.0), len(ordered) - 1
-        )
+        ordered = entry[1]
+        n = len(ordered)
+        if n < self._min_obs:
+            return self._default
+        k = min(int(n * self._pct / 100.0), n - 1)
         return float(min(max(ordered[k], self._min), self._max))
 
 

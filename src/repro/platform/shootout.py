@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any
 
@@ -172,6 +172,19 @@ def make_profiles(config: ShootoutConfig) -> dict[str, WorkloadProfile]:
     }
 
 
+@lru_cache(maxsize=1)
+def _cell_inputs(
+    config: ShootoutConfig,
+) -> tuple[np.ndarray, tuple[str, ...], dict[str, WorkloadProfile]]:
+    """The load and profiles every cell of ``config`` replays, built once
+    per config per process and shared read-only: the timestamps are not
+    writeable, the ids are a tuple, and each cluster copies the profile
+    dict (whose profiles are frozen)."""
+    ts, wids = make_load(config)
+    ts.setflags(write=False)
+    return ts, tuple(wids), make_profiles(config)
+
+
 def _make_keepalive(name: str, ttl_s: float) -> Any:
     return {
         "none": NoKeepAlive,
@@ -190,13 +203,14 @@ def _make_keepalive(name: str, ttl_s: float) -> Any:
 def run_cell(config: ShootoutConfig, cell: ShootoutCell) -> dict[str, Any]:
     """Run one grid cell and reduce it to a flat metrics row.
 
-    Pure in ``(config, cell)``: the load, profiles, and every policy are
-    rebuilt from scratch, so equal inputs give byte-equal rows -- the
-    property the content cache relies on.
+    Pure in ``(config, cell)``: every policy is built from scratch, and
+    the load and profiles are built once per config and shared read-only
+    by its cells (:func:`_cell_inputs`), so equal inputs give byte-equal
+    rows -- the property the content cache relies on.
     """
-    ts, wids = make_load(config)
+    ts, wids, profiles = _cell_inputs(config)
     cluster = FaaSCluster(
-        make_profiles(config),
+        profiles,
         n_nodes=config.n_nodes,
         node_memory_mb=config.node_memory_mb,
         keepalive=_make_keepalive(cell.keepalive, config.keepalive_ttl_s),

@@ -289,6 +289,13 @@ class _ScalarCluster:
         ``profiles``; the scheduler defaults to least-loaded and the
         keep-alive to a fixed 600 s TTL.  The optional realism knobs:
 
+        cold_start_model:
+            Seconds of sandbox boot before a cold invocation runs, as a
+            function of the workload's profile.  The default,
+            :func:`default_cold_start_s`, is pure, so the loop computes
+            it once per workload when it starts; any other model is
+            called once per cold start with that workload's profile.
+
         service_time_cv:
             Coefficient of variation of per-invocation service time
             (mean-preserving lognormal noise on the profile runtime);
@@ -419,6 +426,13 @@ class _ScalarCluster:
         expiries are closures over those bindings (one copy each, which
         the drain reaches through the same loop) and completions run
         inline.
+
+        ``table`` is the loop's admission table, one tuple per workload
+        built here: its record position, memory, service time, cold-start
+        cost and CPU weight.  The cold-start cost is precomputed only for
+        the default model (any other model is called per cold start with
+        the workload's profile); the weight is read once per workload per
+        loop start, which the ``CpuPolicy`` protocol's purity allows.
         """
         profiles = self.profiles
         nodes = self.nodes
@@ -429,8 +443,20 @@ class _ScalarCluster:
         ttl_s = self.keepalive.ttl_s
         observe_idle_gap = self.keepalive.observe_idle_gap
         cold_start_model = self.cold_start_model
+        default_cold = cold_start_model is default_cold_start_s
         cpu = self.cpu
-        weight = cpu.policy.weight if cpu is not None else None
+        if cpu is not None:
+            contend = cpu.policy.contend
+            cores = cpu.cores
+            quantum_s = cpu.quantum_s
+        table = {
+            name: (
+                i, profile.memory_mb, profile.runtime_ms / 1e3,
+                default_cold_start_s(profile) if default_cold else None,
+                cpu.policy.weight(name) if cpu is not None else 0.0,
+            )
+            for i, (name, profile) in enumerate(profiles.items())
+        }
         lognorm = self._lognorm
         lognormal = self._rng.lognormal
         fault_hook = self.fault_hook
@@ -445,7 +471,6 @@ class _ScalarCluster:
         rows = self._rows
         record = rows.append
         pack = _RECORD_ROW.pack
-        position = {w: i for i, w in enumerate(profiles)}
         flush = self._flush_rows
 
         def try_start(node: Node, arrival_s: float,
@@ -453,7 +478,7 @@ class _ScalarCluster:
             """Start an invocation now if a sandbox can be had; else
             False."""
             now = self._clock
-            profile = profiles[workload_id]
+            code, memory_mb, service_s, cold_s, w = table[workload_id]
             sandbox = node.pop_idle(workload_id)
             if sandbox is not None:
                 observe_idle_gap(workload_id, now - sandbox.idle_since)
@@ -466,7 +491,7 @@ class _ScalarCluster:
                 # Make room, evicting the least recently used idle
                 # sandboxes.
                 while (
-                    node.used_memory_mb + profile.memory_mb
+                    node.used_memory_mb + memory_mb
                     > node.memory_capacity_mb
                 ):
                     victim = node.lru_idle()
@@ -477,32 +502,30 @@ class _ScalarCluster:
                     if tracer is not None:
                         trace("sandbox_evicted", node.node_id,
                               victim.workload_id)
-                node.used_memory_mb += profile.memory_mb
+                node.used_memory_mb += memory_mb
                 if track_memory:
                     memory_samples.append(
                         (now, node.node_id, node.used_memory_mb)
                     )
-                sandbox = _Sandbox(self._sandbox_n, workload_id,
-                                   profile.memory_mb)
+                sandbox = _Sandbox(self._sandbox_n, workload_id, memory_mb)
                 self._sandbox_n += 1
                 if tracer is not None:
                     trace("sandbox_created", node.node_id, workload_id)
-                begin = now + cold_start_model(profile)
+                if cold_s is None:
+                    cold_s = cold_start_model(profiles[workload_id])
+                begin = now + cold_s
                 cold = True
 
-            service_s = profile.runtime_ms / 1e3
             if lognorm is not None:
                 sigma, mu = lognorm
                 service_s *= float(lognormal(mu, sigma))
             preemptions = 0
             if cpu is not None:
                 # run-queue-aware dilation, fixed at admission time
-                policy = cpu.policy
-                w = policy.weight(workload_id)
-                dilated, preemptions = policy.contend(
+                dilated, preemptions = contend(
                     service_s,
-                    cores=cpu.cores,
-                    quantum_s=cpu.quantum_s,
+                    cores=cores,
+                    quantum_s=quantum_s,
                     concurrent=node.busy_count + 1,
                     weight=w,
                     total_weight=node.cpu_weight + w,
@@ -522,7 +545,7 @@ class _ScalarCluster:
                     end = begin + service_s * min(max(frac, 0.0), 1.0)
                     ok = False
             node.busy_count += 1
-            record(pack(position[workload_id], node.node_id, arrival_s,
+            record(pack(code, node.node_id, arrival_s,
                         begin, end, cold, ok, preemptions))
             # Events carry the Node object itself: under autoscaling the
             # nodes list mutates, so positional ids are not stable
@@ -551,8 +574,8 @@ class _ScalarCluster:
         def on_crash(node: Node, sandbox: _Sandbox) -> None:
             """The sandbox died mid-invocation: destroy it outright."""
             node.busy_count -= 1
-            if weight is not None:
-                node.cpu_weight -= weight(sandbox.workload_id)
+            if cpu is not None:
+                node.cpu_weight -= table[sandbox.workload_id][4]
             node.used_memory_mb -= sandbox.memory_mb
             if tracer is not None:
                 trace("sandbox_crashed", node.node_id, sandbox.workload_id)
@@ -584,7 +607,7 @@ class _ScalarCluster:
 
         timestamp_s, workload_id = yield
         while True:
-            if workload_id not in profiles:
+            if workload_id not in table:
                 if workload_id is not None:
                     raise KeyError(
                         f"no profile for workload {workload_id!r}"
@@ -600,14 +623,18 @@ class _ScalarCluster:
                 self._clock = when
                 if kind == "end":
                     node.busy_count -= 1
-                    if weight is not None:
-                        node.cpu_weight -= weight(sandbox.workload_id)
-                    sandbox.idle_since = when
-                    node.push_idle(sandbox)
-                    ttl = ttl_s(sandbox.workload_id)
+                    wid = sandbox.workload_id
+                    if cpu is not None:
+                        node.cpu_weight -= table[wid][4]
+                    ttl = ttl_s(wid)
                     if ttl <= 0:
-                        node.remove_idle(sandbox)
+                        # reclaimed at once: free the memory without
+                        # listing it idle (this reclaim records no memory
+                        # sample and no trace event)
+                        node.used_memory_mb -= sandbox.memory_mb
                     else:
+                        sandbox.idle_since = when
+                        node.push_idle(sandbox)
                         # the deadline takes the sequence number its own
                         # event would have, so every other event keeps
                         # its key

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import csv
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.platform.schedulers import SCHEDULERS
 
 
 class TestParser:
@@ -23,6 +25,13 @@ class TestParser:
         assert args.trace == "azure"
         assert args.threshold == 10.0
         assert args.time_mode == "thumbnails"
+
+    def test_replay_offers_every_scheduler(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        option = next(a for a in sub.choices["replay"]._actions
+                      if a.dest == "scheduler")
+        assert tuple(option.choices) == tuple(SCHEDULERS)
 
 
 class TestCommands:
@@ -73,6 +82,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "cold-start fraction" in out
         assert "latency p50/p90/p99" in out
+
+    def test_replay_locality_scheduler(self, spec_path, capsys):
+        rc = main(["replay", "--spec", str(spec_path), "--nodes", "4",
+                   "--scheduler", "locality"])
+        assert rc == 0
+        assert "cold-start fraction" in capsys.readouterr().out
 
     def test_replay_with_faults_retry_and_checkpoint(
             self, spec_path, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,16 @@ import pytest
 
 import repro
 from repro.platform import (
+    CpuModel,
     FaaSCluster,
+    FairShareCpu,
     FixedKeepAlive,
     HashAffinityScheduler,
     HistogramKeepAlive,
     InvocationRecord,
     LeastLoadedScheduler,
     NoKeepAlive,
+    ObjectFaaSCluster,
     PowerOfTwoScheduler,
     RandomScheduler,
     WorkloadProfile,
@@ -77,6 +81,40 @@ class TestLifecycle:
         expected_cs = 0.150 + 0.0008 * 100.0
         assert r.start_s == pytest.approx(expected_cs)
         assert r.end_s == pytest.approx(expected_cs + 0.010)
+
+    @pytest.mark.parametrize("engine", [FaaSCluster, ObjectFaaSCluster])
+    @pytest.mark.parametrize("keepalive", [
+        NoKeepAlive, lambda: FixedKeepAlive(2.0),
+        lambda: HistogramKeepAlive(min_ttl_s=0.5, min_observations=2),
+    ], ids=["none", "fixed", "histogram"])
+    def test_custom_cold_start_model_called_per_cold_start(
+            self, engine, keepalive):
+        # only the default model's costs are precomputed; any other model
+        # is called once per cold start with the started workload's
+        # profile, whatever else the run configures
+        given = profiles(
+            mid=WorkloadProfile("mid", runtime_ms=200.0, memory_mb=300.0),
+        )
+        calls = []
+
+        def model(profile):
+            calls.append(profile)
+            return 0.05 + 0.0001 * profile.memory_mb
+
+        c = engine(given, n_nodes=2, node_memory_mb=800.0,
+                   keepalive=keepalive(), cold_start_model=model,
+                   cpu=CpuModel(cores=1, policy=FairShareCpu(
+                       weights={"fast": 2.0})))
+        rng = np.random.default_rng(7)
+        ts = np.sort(rng.uniform(0.0, 30.0, 300))
+        for t, w in zip(ts.tolist(), rng.choice(sorted(given), 300)):
+            c.invoke(t, str(w))
+        records = c.drain()
+        cold = Counter(r.workload_id for r in records if r.cold)
+        assert Counter(p.workload_id for p in calls) == cold
+        assert all(p is given[p.workload_id] for p in calls)
+        if keepalive is not NoKeepAlive:
+            assert sum(cold.values()) < len(records)  # some reuse
 
     def test_concurrent_requests_scale_out_sandboxes(self):
         c = cluster(n_nodes=1)
