@@ -64,10 +64,12 @@ class _NullBackend:
 
 
 def test_perf_replay_hot_loop(benchmark, ctx):
-    """The submission loop's own overhead, backend cost excluded.
+    """The dispatch loop's own overhead, backend cost excluded.
 
-    Guards the hoisted per-request float()/str() conversions: the loop
-    must stay a bare zip-iterate-call, well above 1M requests/s.
+    A backend without ``invoke_many`` takes the shared dispatch loop in
+    its plain mode (no pacing, no resilience option).  Guards the
+    hoisted per-request float()/str() conversions: the loop must stay
+    well above 1M requests/s.
     """
     spec = ctx.spec
     trace = generate_request_trace(spec, seed=4)

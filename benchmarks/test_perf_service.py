@@ -38,7 +38,7 @@ def _bench_service(benchmark, ctx, tmp_path, workers):
             trace,
             _null_factory,
             service_dir=tmp_path / f"svc-{workers}",
-            config=ServiceConfig(workers=workers, collect_records=False),
+            config=ServiceConfig(workers=workers),
         )
 
     result = benchmark.pedantic(run, rounds=3, warmup_rounds=1)

@@ -103,7 +103,7 @@ def _setup_telemetry(args, spec):
     registry = MetricsRegistry()
     drift = None
     if band is not None:
-        if band <= 0:
+        if not band > 0:
             raise SystemExit("--drift-band must be positive")
         drift = DriftMonitor(spec.invocation_duration_cdf(), band=band)
     return registry, drift
@@ -272,7 +272,7 @@ def _http_backend_factory(base_url, timeout_s):
     return HTTPBackend(base_url, timeout_s=timeout_s)
 
 
-def _cmd_replay_service(args, spec, registry, retry) -> int:
+def _cmd_replay_service(args, spec, registry, drift, retry) -> int:
     """The ``--service`` branch: supervised multi-process open loop."""
     import functools
     import math
@@ -321,6 +321,9 @@ def _cmd_replay_service(args, spec, registry, retry) -> int:
     with _scoped_telemetry(registry):
         trace = generate_request_trace(spec, seed=args.seed,
                                        arrival_mode=args.arrival_mode)
+        if drift is not None:
+            drift.observe_many(trace.runtimes_ms, trace.timestamps_s)
+            drift.flush()
         result = run_service(
             trace, factory,
             service_dir=args.service_dir,
@@ -359,7 +362,7 @@ def _cmd_replay_service(args, spec, registry, retry) -> int:
     print(f"  coverage report     : "
           f"{Path(args.service_dir) / 'coverage.json'}")
     if registry is not None:
-        _finish_telemetry(args, registry)
+        _finish_telemetry(args, registry, drift)
     return 0 if cov.ok else 1
 
 
@@ -393,7 +396,7 @@ def _cmd_replay(args) -> int:
         if args.fault_profile is not None:
             raise SystemExit("--fault-profile is not supported with "
                              "--service (use --error-rate)")
-        return _cmd_replay_service(args, spec, registry, retry)
+        return _cmd_replay_service(args, spec, registry, drift, retry)
 
     profile = None
     if args.fault_profile is not None:

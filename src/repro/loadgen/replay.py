@@ -5,21 +5,20 @@ simulator (:mod:`repro.platform`) and the in-process live executor satisfy
 it; the replayer itself is backend-agnostic, as in the paper's design
 ("replay such specifications against a backend FaaS system").
 
-One per-request loop serves every paced or resilient replay.  Per
-request it paces (finite ``speed`` only), then submits: a bare
-``backend.invoke`` when no resilience option is set, so a backend
-failure propagates; otherwise
+An unpaced replay without resilience options hands the whole trace to
+the backend's ``invoke_many`` when its type defines one.  Every other
+replay is a one-shard call of the load service's dispatch loop
+(:func:`repro.loadgen.service._dispatch`), the one per-request loop in
+the package: it paces (finite ``speed`` only) from an epoch taken at
+loop start, then submits.  With no resilience option it sends through
+the backend's ``invoke`` (or ``invoke_at`` with the scheduled send time),
+so a backend failure propagates; otherwise through
 :func:`~repro.loadgen.resilience.deliver`, which applies the
 :class:`~repro.loadgen.resilience.RetryPolicy` and
 :class:`~repro.loadgen.resilience.CircuitBreaker` and returns a
 per-request outcome from the :data:`~repro.loadgen.resilience.OUTCOMES`
-taxonomy.  The loop records that outcome, feeds the drift monitor and
-periodically checkpoints progress so a killed replay can resume.  The
-load service (:mod:`repro.loadgen.service`) calls the same ``deliver``.
-
-An unpaced replay without resilience options skips the loop: it hands
-the whole trace to the backend's ``invoke_many`` when its type defines
-one, else runs a bare submission loop, tuned for simulator throughput.
+taxonomy, and it periodically checkpoints progress so a killed replay
+can resume.  A replay has no heartbeat and never sheds for lag.
 """
 
 from __future__ import annotations
@@ -34,14 +33,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.loadgen.requests import RequestTrace
-from repro.loadgen.resilience import (
-    OUTCOMES,
-    CircuitBreaker,
-    RetryPolicy,
-    deliver,
-    open_checkpoint_log,
-    save_checkpoint,
-)
+from repro.loadgen.resilience import OUTCOMES, CircuitBreaker, RetryPolicy
 from repro.platform.metrics import RecordList
 from repro.telemetry import registry as _telemetry
 
@@ -231,7 +223,12 @@ def replay(
         Wall-clock pacing factor: ``inf`` (default) submits as fast as the
         backend accepts (correct for simulators, which keep their own
         virtual clock); ``1.0`` paces submissions in real time; ``60`` runs
-        a 1-hour trace in a minute.  Only finite speeds sleep.
+        a 1-hour trace in a minute.  Only finite speeds sleep: each send
+        is scheduled open-loop at ``epoch + timestamp / speed``, the
+        epoch taken when dispatch starts, and a backend whose type
+        defines ``invoke_at`` is handed that scheduled send time (and
+        the remaining retry deadline), so it measures latency from the
+        schedule, not from a late send.
     retry:
         Per-request retry policy.  Failed invocations are re-submitted at
         their *original* timestamp (backend clocks stay monotone); the
@@ -259,13 +256,13 @@ def replay(
         Optional :class:`~repro.telemetry.drift.DriftMonitor` fed the
         replayed requests' expected durations in arrival order, so
         representativeness regressions (e.g. a mis-mapped workload pool)
-        emit ``drift_warning`` events during the run.  Paced (finite
-        ``speed``) and resilient replays observe request-by-request; an
-        unpaced replay without resilience options observes in one
-        vectorised pass so the bare submission loop stays untouched.
+        emit ``drift_warning`` events.  It reads only trace data, so it
+        is fed in one vectorised pass after dispatch, over the requests
+        this call sent (from the resume offset on), with each window
+        stamped with its last request's trace time.
 
     Any of ``retry`` / ``breaker`` / ``checkpoint_path`` makes the
-    per-request loop submit through
+    dispatch loop submit through
     :func:`~repro.loadgen.resilience.deliver`: invocation failures no
     longer propagate, and the result carries per-request ``outcomes``
     and ``attempts``.
@@ -276,85 +273,42 @@ def replay(
     registry -- all as vectorised post-passes, never per-request work,
     so telemetry-on output is byte-identical to telemetry-off output.
     """
-    if speed <= 0:
+    if not speed > 0:
         raise ValueError("speed must be positive")
     if checkpoint_every <= 0:
         raise ValueError("checkpoint_every must be positive")
     resilient = (retry is not None or breaker is not None
                  or checkpoint_path is not None)
-    pace = bool(np.isfinite(speed))
-    # hoist per-request conversions out of the hot loop: one vectorised
-    # pass instead of n_requests float() calls.  Timestamps are
-    # converted only where a per-request loop reads them; a batched
-    # backend takes the array itself.
-    workload_ids = trace.workload_ids.tolist()
     n = trace.n_requests
-    outcomes = attempts = None
-    if not (pace or resilient):
-        t_start = time.perf_counter()  # repro: allow-wall-clock
-        # Batched dispatch when the backend supports it (the array-native
-        # simulator and any decorator that *explicitly* implements it).
-        # Looked up on the type, not the instance: a decorator that only
-        # forwards attribute access (e.g. FaultyBackend.__getattr__) must
-        # not let the batch bypass its per-request invoke() logic.
-        batch_invoke = getattr(type(backend), "invoke_many", None)
-        if batch_invoke is not None:
-            batch_invoke(backend, trace.timestamps_s, workload_ids)
-        else:
-            invoke = backend.invoke
-            for ts, wid in zip(trace.timestamps_s.tolist(), workload_ids):
-                invoke(ts, wid)
-        if drift is not None:
-            drift.observe_many(trace.runtimes_ms, trace.timestamps_s)
-    else:
-        timestamps = trace.timestamps_s.tolist()
-        runtimes = trace.runtimes_ms.tolist() if drift is not None else None
+    # Batched dispatch when the backend supports it (the array-native
+    # simulator and any decorator that *explicitly* implements it).
+    # Looked up on the type, not the instance: a decorator that only
+    # forwards attribute access (e.g. FaultyBackend.__getattr__) must
+    # not let the batch bypass its per-request invoke() logic.
+    batch_invoke = getattr(type(backend), "invoke_many", None)
+    t_start = time.perf_counter()  # repro: allow-wall-clock
+    if batch_invoke is not None and not resilient and math.isinf(speed):
+        batch_invoke(backend, trace.timestamps_s,
+                     trace.workload_ids.tolist())
+        outcomes = attempts = None
         start = 0
-        log = None
-        if resilient:
-            outcomes = np.zeros(n, dtype=np.uint8)
-            attempts = np.zeros(n, dtype=np.int32)
-        if checkpoint_path is not None:
-            log, done_outcomes, done_attempts = open_checkpoint_log(
-                checkpoint_path,
-                (n, float(timestamps[0]), float(timestamps[-1])),
-                resume=resume,
-            )
-            start = log.end
-            outcomes[:start] = done_outcomes
-            attempts[:start] = done_attempts
+    else:
+        # imported here: the service module imports this one
+        from repro.loadgen.service import _dispatch
 
-        def send(ts, wid, index, attempt, deadline_left_s):
-            backend.invoke(ts, wid)
-
-        # the pacer reads every timestamp: convert them before its clock
-        # starts
-        t_start = time.perf_counter()  # repro: allow-wall-clock
-        try:
-            for i in range(start, n):
-                ts = timestamps[i]
-                if pace:
-                    # repro: allow-wall-clock (pacer: real time is the point)
-                    delay = t_start + ts / speed - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
-                if outcomes is None:
-                    backend.invoke(ts, workload_ids[i])
-                else:
-                    outcomes[i], attempts[i] = deliver(
-                        send, ts, workload_ids[i], i, retry, breaker, speed)
-                if runtimes is not None:
-                    drift.observe(runtimes[i], ts)
-                if log is not None and (i + 1) % checkpoint_every == 0:
-                    save_checkpoint(log, offset=i + 1, outcomes=outcomes,
-                                    attempts=attempts)
-            if log is not None:
-                save_checkpoint(log, offset=n, outcomes=outcomes,
-                                attempts=attempts)
-        finally:
-            if log is not None:
-                log.close()
+        payload = _dispatch(
+            backend, trace.timestamps_s, trace.workload_ids, speed=speed,
+            retry=retry, breaker=breaker, plain=not resilient,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every, resume=resume,
+        )
+        outcomes, attempts = payload["outcomes"], payload["attempts"]
+        start = payload["start"]
     if drift is not None:
+        # the monitor sees trace data only, so one pass over the
+        # requests this call dispatched equals observing them one by one
+        drift.observe_many(trace.runtimes_ms[start:],
+                           trace.timestamps_s[start:])
         drift.flush()
     records = _drain_records(backend)
     result = ReplayResult(

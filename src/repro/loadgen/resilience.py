@@ -82,13 +82,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
+        if not (self.base_delay_s >= 0 and self.max_delay_s >= 0):
             raise ValueError("delays must be non-negative")
-        if self.multiplier < 1:
+        if not self.multiplier >= 1:
             raise ValueError("multiplier must be >= 1")
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter must be in [0, 1)")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError("deadline_s must be positive")
 
     def backoff_s(self, attempt: int, request_index: int = 0) -> float:
@@ -126,7 +126,7 @@ class CircuitBreaker:
                  half_open_probes: int = 1, *, tracer=None):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be at least 1")
-        if reset_timeout_s <= 0:
+        if not reset_timeout_s > 0:
             raise ValueError("reset_timeout_s must be positive")
         if half_open_probes < 1:
             raise ValueError("half_open_probes must be at least 1")

@@ -1,7 +1,7 @@
 """Supervised, open-loop, crash-tolerant replay service.
 
-Promotes the single-process replay loop to a production-style load
-*service* (ROADMAP item 1) built from three cooperating pieces:
+Promotes single-process replay to a production-style load *service*
+built from three cooperating pieces:
 
 - a **supervisor** that partitions the request stream into ordered,
   data-derived shards (:func:`repro.parallel.plan_shards` -- the
@@ -19,7 +19,9 @@ Promotes the single-process replay loop to a production-style load
   schedule (coordinated omission).  The dispatcher records
   intended-vs-actual dispatch lag per request and, under overload, sheds
   admissions explicitly (outcome ``shed`` in the standard taxonomy --
-  never a silent drop);
+  never a silent drop).  Its loop, :func:`_dispatch`, is the package's
+  one per-request loop: :func:`repro.loadgen.replay.replay` runs every
+  replay it does not batch as a one-shard call of it;
 - a **reconciliation pass** that merges the per-shard outcome ledgers
   and *proves* schedule coverage: every scheduled request is accounted
   for exactly once (ok/retried/error/timeout/shed/dropped) regardless of
@@ -186,25 +188,24 @@ class ServiceConfig:
     heartbeat_timeout_s: float = 10.0
     max_restarts_per_shard: int = 3
     service_timeout_s: float = 300.0
-    collect_records: bool = True
     start_method: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
-        if self.speed <= 0:
+        if not self.speed > 0:
             raise ValueError("speed must be positive")
-        if self.max_lag_s is not None and self.max_lag_s <= 0:
+        if self.max_lag_s is not None and not self.max_lag_s > 0:
             raise ValueError("max_lag_s must be positive")
         if self.checkpoint_every <= 0 or self.heartbeat_every <= 0:
             raise ValueError("checkpoint/heartbeat cadences must be "
                              "positive")
-        if self.heartbeat_timeout_s <= 0:
+        if not self.heartbeat_timeout_s > 0:
             raise ValueError("heartbeat_timeout_s must be positive")
         if self.max_restarts_per_shard < 0:
             raise ValueError("max_restarts_per_shard must be "
                              "non-negative")
-        if self.service_timeout_s <= 0:
+        if not self.service_timeout_s > 0:
             raise ValueError("service_timeout_s must be positive")
 
     def resolved_start_method(self) -> str:
@@ -331,46 +332,66 @@ def _sleep_until(target_wall_s: float, heartbeat, max_slice_s: float,
             heartbeat(-1)
 
 
-def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
-               clock: Callable[[], float] = time.time,
-               ) -> dict[str, Any]:
-    """Dispatch one shard's requests; returns its outcome ledger slice.
+def _dispatch(backend: Backend, timestamps: np.ndarray,
+              workload_ids: np.ndarray, *, speed: float,
+              retry: RetryPolicy | None = None,
+              breaker: CircuitBreaker | None = None,
+              fault_plan: ServiceFaultPlan | None = None,
+              plain: bool = False,
+              epoch_wall_s: float | None = None,
+              max_lag_s: float | None = None,
+              heartbeat=None, heartbeat_every: int = 1,
+              checkpoint_path: Path | str | None = None,
+              checkpoint_every: int = 1000,
+              shard: tuple[int, int, int] | None = None,
+              resume: bool = True,
+              clock: Callable[[], float] = time.time,
+              ) -> dict[str, Any]:
+    """The one per-request dispatch loop: a service shard's, and every
+    :func:`~repro.loadgen.replay.replay` that is paced or resilient or
+    has no batched ``invoke_many``.
 
-    Each request's outcome comes from
-    :func:`~repro.loadgen.resilience.deliver`, the function the
-    single-process resilient replay calls (same taxonomy, same
-    trace-time-clocked breaker, same ``(seed, index, attempt)``-keyed
-    backoff); the shard's ``send`` adds the keyed fault-plan errors and
-    the backend's ``invoke_at`` with the scheduled send time and the
-    remaining deadline.  Around it the shard loop schedules sends
-    open-loop from the shared service epoch, records dispatch lag and
-    applies the overload admission bound.
+    Sends ``timestamps``/``workload_ids`` to ``backend`` in order.  A
+    finite ``speed`` schedules each send open-loop at ``epoch_wall_s +
+    ts / speed`` (the epoch defaults to ``clock()`` at loop start),
+    sleeps toward it with :func:`_sleep_until`, records the dispatch lag
+    and sheds the request (outcome ``shed``) once it lags past
+    ``max_lag_s``.  Each request's outcome comes from
+    :func:`~repro.loadgen.resilience.deliver`; its ``send`` adds the keyed
+    ``fault_plan`` errors and calls the backend's ``invoke_at``, when its
+    type defines one, with the scheduled send time and the remaining
+    deadline.  ``plain`` skips ``deliver``: a backend failure propagates
+    and ``outcomes``/``attempts`` come back ``None``.
 
-    ``clock`` is the wall-clock source for lag accounting and overload
-    shedding; injecting a virtual clock makes the admission path
-    deterministic under test.
+    ``heartbeat(progress)`` is called every ``heartbeat_every`` requests
+    and through long pacing sleeps.  With ``checkpoint_path`` the ledger
+    is appended to that checkpoint log every ``checkpoint_every``
+    requests and at the end, and with ``resume`` the loop continues from
+    the log's offset, returned as ``start``.  ``shard`` -- ``(index, lo,
+    hi)`` in global coordinates -- extends the log's fingerprint, and
+    ``lo`` offsets the request index that keys backoff and fault draws.
+
+    ``clock`` is the wall-clock source for the default epoch, lag
+    accounting and overload shedding; injecting a virtual clock makes
+    the admission path deterministic under test.
     """
-    lo, hi = work.bounds[shard]
-    n_shard = hi - lo
-    ts_all = work.timestamps
-    timestamps = ts_all[lo:hi].tolist()
-    workload_ids = work.workload_ids[lo:hi].tolist()
-    fingerprint = (n_shard, float(timestamps[0]), float(timestamps[-1]))
-    ckpt = _shard_checkpoint_path(work.service_dir, shard)
-
-    outcomes = np.zeros(n_shard, dtype=np.uint8)
-    attempts = np.zeros(n_shard, dtype=np.int32)
-    lag_ms = np.zeros(n_shard, dtype=np.float64)
-
-    backend = work.backend_factory()
-    retry = work.retry
-    breaker = (work.breaker_spec.make()
-               if work.breaker_spec is not None else None)
-    fault_plan = work.fault_plan
-    inject = (fault_plan is not None and fault_plan.error_rate > 0)
+    n = len(timestamps)
+    lo = 0 if shard is None else shard[1]
+    ts_list = timestamps.tolist()
+    wid_list = workload_ids.tolist()
+    outcomes = attempts = None
+    if not plain:
+        outcomes = np.zeros(n, dtype=np.uint8)
+        attempts = np.zeros(n, dtype=np.int32)
+    lag_ms = np.zeros(n, dtype=np.float64)
 
     invoke = backend.invoke
-    invoke_at = getattr(backend, "invoke_at", None)
+    # looked up on the type, as invoke_many is: a decorator that only
+    # forwards attribute access must not let a send bypass its invoke()
+    invoke_at = (backend.invoke_at
+                 if getattr(type(backend), "invoke_at", None) is not None
+                 else None)
+    inject = (fault_plan is not None and fault_plan.error_rate > 0)
     scheduled_wall = None
 
     if invoke_at is None and not inject:
@@ -390,40 +411,38 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
                 invoke_at(ts, wid, scheduled_wall_s=scheduled_wall,
                           deadline_s=deadline_left_s)
 
-    config = work.config
-    pace = np.isfinite(config.speed)
-    speed = config.speed
-    epoch = work.epoch_wall_s
-    max_lag_s = config.max_lag_s
-    hb_every = config.heartbeat_every
+    pace = math.isfinite(speed)
     hb_slice = 0.5
-    every = config.checkpoint_every
     shed_overload = 0
     shed_breaker = 0
-
-    resumed = int(ckpt.exists())
-    log, done_outcomes, done_attempts = open_checkpoint_log(
-        ckpt, fingerprint, shard=(shard, lo, hi), resume=True
-    )
-    with log:
+    start = 0
+    log = None
+    if checkpoint_path is not None:
+        log, done_outcomes, done_attempts = open_checkpoint_log(
+            checkpoint_path, (n, float(ts_list[0]), float(ts_list[-1])),
+            shard=shard, resume=resume,
+        )
         start = log.end
         outcomes[:start] = done_outcomes
         attempts[:start] = done_attempts
-        # count to the next heartbeat and checkpoint (the multiples of
-        # their cadences) instead of taking a modulus per request
-        next_beat = (-(-start // hb_every) * hb_every
-                     if heartbeat is not None else -1)
-        next_ckpt = start - start % every + every
-        for j in range(start, n_shard):
+    # count to the next heartbeat and checkpoint (the multiples of their
+    # cadences) instead of taking a modulus per request
+    next_beat = (-(-start // heartbeat_every) * heartbeat_every
+                 if heartbeat is not None else -1)
+    next_ckpt = (start - start % checkpoint_every + checkpoint_every
+                 if log is not None else -1)
+    epoch = clock() if epoch_wall_s is None else epoch_wall_s
+    try:
+        for j in range(start, n):
             if j == next_ckpt:
                 save_checkpoint(log, offset=j, outcomes=outcomes,
                                 attempts=attempts)
-                next_ckpt += every
+                next_ckpt += checkpoint_every
             if j == next_beat:
                 heartbeat(j)
-                next_beat += hb_every
+                next_beat += heartbeat_every
             i = lo + j  # global request index: keys backoff + fault draws
-            ts = timestamps[j]
+            ts = ts_list[j]
             if pace:
                 scheduled_wall = epoch + ts / speed
                 _sleep_until(scheduled_wall, heartbeat, hb_slice)
@@ -439,25 +458,60 @@ def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
                         attempts[j] = 0
                         shed_overload += 1
                         continue
-            code, n_attempts = deliver(send, ts, workload_ids[j], i, retry,
+            if plain:
+                send(ts, wid_list[j], i, 1, None)
+                continue
+            code, n_attempts = deliver(send, ts, wid_list[j], i, retry,
                                        breaker, speed)
             outcomes[j] = code
             attempts[j] = n_attempts
             if code == _SHED:  # overload sheds never reach deliver()
                 shed_breaker += 1
-        save_checkpoint(log, offset=n_shard, outcomes=outcomes,
-                        attempts=attempts)
-    records = _drain_records(backend) if config.collect_records else []
+        if log is not None:
+            save_checkpoint(log, offset=n, outcomes=outcomes,
+                            attempts=attempts)
+    finally:
+        if log is not None:
+            log.close()
     return {
-        "shard": shard,
         "outcomes": outcomes,
         "attempts": attempts,
         "lag_ms": lag_ms,
-        "records": records,
         "shed_overload": shed_overload,
         "shed_breaker": shed_breaker,
-        "resumed": resumed,
+        "start": start,
     }
+
+
+def _run_shard(shard: int, work: _ShardWork, heartbeat=None,
+               clock: Callable[[], float] = time.time,
+               ) -> dict[str, Any]:
+    """Dispatch one shard's requests; returns its outcome ledger slice.
+
+    Builds the shard's backend and breaker and runs :func:`_dispatch`
+    over the shard's slice of the trace from the shared service epoch,
+    with the config's overload bound, heartbeat and checkpoint cadences
+    and the shard's own checkpoint log, always resumed when present.
+    """
+    lo, hi = work.bounds[shard]
+    config = work.config
+    ckpt = _shard_checkpoint_path(work.service_dir, shard)
+    resumed = int(ckpt.exists())
+    backend = work.backend_factory()
+    payload = _dispatch(
+        backend, work.timestamps[lo:hi], work.workload_ids[lo:hi],
+        speed=config.speed, retry=work.retry,
+        breaker=(work.breaker_spec.make()
+                 if work.breaker_spec is not None else None),
+        fault_plan=work.fault_plan, epoch_wall_s=work.epoch_wall_s,
+        max_lag_s=config.max_lag_s, heartbeat=heartbeat,
+        heartbeat_every=config.heartbeat_every, checkpoint_path=ckpt,
+        checkpoint_every=config.checkpoint_every, shard=(shard, lo, hi),
+        clock=clock,
+    )
+    payload.update(shard=shard, records=_drain_records(backend),
+                   resumed=resumed)
+    return payload
 
 
 def _worker_main(conn, work: _ShardWork) -> None:  # pragma: no cover

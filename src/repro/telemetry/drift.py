@@ -10,8 +10,10 @@ Kolmogorov-Smirnov distance of each completed window against the shrink
 ray spec's target CDF.  Windows whose KS distance exceeds a configurable
 band emit a ``drift_warning`` event (recorded on the monitor itself and
 mirrored into the active telemetry registry), so a mis-mapped workload
-pool or a drifting replay surfaces *during* the run rather than in a
-post-mortem.
+pool or a drifting replay surfaces in the run's own output, each window
+stamped with the trace time it ends at, rather than in a post-mortem.
+Replay feeds it the requests it dispatched in one vectorised pass,
+which gives the same windows as feeding them one at a time.
 
 The monitor is purely observational: it draws no randomness and mutates
 nothing it observes, so enabling it cannot perturb generated traces
@@ -62,7 +64,7 @@ class DriftMonitor:
         min_samples: int = 64,
         metric: str = "duration_ms",
     ) -> None:
-        if band <= 0:
+        if not band > 0:
             raise ValueError("band must be positive")
         if window <= 1:
             raise ValueError("window must exceed 1")
@@ -86,7 +88,7 @@ class DriftMonitor:
     # observation
     # ------------------------------------------------------------------
     def observe(self, value: float, time_s: float = 0.0) -> None:
-        """Record one sample (the paced, truly-online replay path)."""
+        """Record one sample (for callers that see one at a time)."""
         self._buf[self._fill] = value
         self._fill += 1
         self.n_observed += 1
@@ -97,7 +99,7 @@ class DriftMonitor:
 
     def observe_many(self, values: ArrayLike,
                      times_s: ArrayLike | None = None) -> None:
-        """Record a batch of samples (the vectorised replay path).
+        """Record a batch of samples (the replay path).
 
         ``times_s`` -- optional per-sample trace times aligned with
         ``values``; each completed window is stamped with the trace time

@@ -115,6 +115,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "already complete at resume" in out
 
+    def test_replay_service_feeds_the_drift_monitor(
+            self, spec_path, tmp_path, capsys):
+        """``--drift-band`` reports the same drift with and without
+        ``--service``, and registers the ``drift_ks`` gauge."""
+        import json
+
+        def run(*extra):
+            telemetry_path = tmp_path / f"t{len(extra)}.jsonl"
+            rc = main(["replay", "--spec", str(spec_path), "--nodes", "4",
+                       "--drift-band", "0.3",
+                       "--telemetry", str(telemetry_path), *extra])
+            assert rc == 0
+            drift = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("drift monitor:")]
+            names = {json.loads(line).get("name")
+                     for line in telemetry_path.read_text().splitlines()}
+            return drift, names
+
+        plain, plain_names = run()
+        service, service_names = run("--service", "--workers", "0",
+                                     "--service-dir",
+                                     str(tmp_path / "svc"))
+        assert len(plain) == 1 and service == plain
+        assert "drift_ks" in plain_names and "drift_ks" in service_names
+
     def test_replay_service_parses_the_spec_once(
             self, spec_path, tmp_path, monkeypatch, capsys):
         """The service workers build their backends from the spec the

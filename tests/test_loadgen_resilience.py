@@ -12,6 +12,7 @@ from repro.loadgen import (
     CircuitBreaker,
     RequestTrace,
     RetryPolicy,
+    ServiceConfig,
     load_checkpoint,
     open_checkpoint_log,
     replay,
@@ -456,6 +457,71 @@ class TestOneLedgerFromBothModes:
         assert service.attempts.tobytes() == single.attempts.tobytes()
         assert service.coverage.shed_breaker == counts["shed"]
 
+    def test_paced_replay_hands_invoke_at_the_schedule_like_a_shard(
+            self, tmp_path):
+        """A paced replay sends through ``invoke_at`` with each
+        request's scheduled send time and the remaining retry deadline,
+        as a service shard does, so an open-loop backend measures
+        latency from the schedule."""
+        from repro.loadgen.service import run_service
+
+        class _Recorder:
+            calls = []
+
+            def invoke(self, timestamp_s, workload_id):
+                raise AssertionError("paced sends go through invoke_at")
+
+            def invoke_at(self, timestamp_s, workload_id, *,
+                          scheduled_wall_s=None, deadline_s=None):
+                self.calls.append((timestamp_s, scheduled_wall_s,
+                                   deadline_s))
+
+            def drain(self):
+                return []
+
+        trace = make_trace(n=30, horizon=3.0)
+        speed = 100.0
+        retry = RetryPolicy(max_attempts=2, deadline_s=0.5)
+        results = {}
+        for mode in ("replay", "shard"):
+            _Recorder.calls = []
+            if mode == "replay":
+                replay(trace, _Recorder(), speed=speed, retry=retry)
+            else:
+                run_service(trace, _Recorder, service_dir=tmp_path,
+                            config=ServiceConfig(workers=0, max_shards=1,
+                                                 speed=speed),
+                            retry=retry)
+            results[mode] = list(_Recorder.calls)
+        for calls in results.values():
+            ts, wall, deadline = (np.array(c, dtype=np.float64)
+                                  for c in zip(*calls))
+            np.testing.assert_array_equal(ts, trace.timestamps_s)
+            np.testing.assert_allclose(np.diff(wall), np.diff(ts) / speed,
+                                       rtol=0, atol=1e-6)
+            assert (deadline == 0.5).all()
+
+    def test_forwarding_decorator_keeps_its_own_invoke(self):
+        """``invoke_at`` is looked up on the backend's type: a decorator
+        that forwards attribute access, like ``FaultyBackend``, still
+        sees every send through its own ``invoke``."""
+
+        class _InvokeAt:
+            def invoke(self, timestamp_s, workload_id):
+                pass
+
+            def invoke_at(self, timestamp_s, workload_id, **kw):
+                pass  # a send that got around the decorator succeeds
+
+            def drain(self):
+                return []
+
+        backend = FaultyBackend(_InvokeAt(),
+                                FaultProfile(error_rate=1.0, seed=0))
+        result = replay(make_trace(n=20, horizon=0.01), backend,
+                        speed=1e6, retry=RetryPolicy(max_attempts=1))
+        assert result.outcome_counts()["error"] == 20
+
 
 class TestDeliver:
     """The per-request delivery loop, driven directly."""
@@ -511,7 +577,31 @@ class TestDeliver:
         assert slept == [0.25]
 
 
+_NAN = float("nan")
+
+
 class TestValidationEdges:
+    @pytest.mark.parametrize("build", [
+        lambda: replay(make_trace(n=5), _DeadBackend(), speed=_NAN),
+        lambda: ServiceConfig(speed=_NAN),
+        lambda: ServiceConfig(max_lag_s=_NAN),
+        lambda: ServiceConfig(heartbeat_timeout_s=_NAN),
+        lambda: ServiceConfig(service_timeout_s=_NAN),
+        lambda: RetryPolicy(base_delay_s=_NAN),
+        lambda: RetryPolicy(max_delay_s=_NAN),
+        lambda: RetryPolicy(multiplier=_NAN),
+        lambda: RetryPolicy(deadline_s=_NAN),
+        lambda: CircuitBreaker(reset_timeout_s=_NAN),
+    ], ids=["replay.speed", "ServiceConfig.speed",
+            "ServiceConfig.max_lag_s", "ServiceConfig.heartbeat_timeout_s",
+            "ServiceConfig.service_timeout_s", "RetryPolicy.base_delay_s",
+            "RetryPolicy.max_delay_s", "RetryPolicy.multiplier",
+            "RetryPolicy.deadline_s", "CircuitBreaker.reset_timeout_s"])
+    def test_nan_is_rejected(self, build):
+        """A NaN passes every ``x <= 0`` check; each field refuses it."""
+        with pytest.raises(ValueError):
+            build()
+
     def test_policy_and_breaker_arguments(self):
         with pytest.raises(ValueError, match="non-negative"):
             RetryPolicy(base_delay_s=-1.0)

@@ -523,7 +523,7 @@ class TestShardLoopEdges:
 
     @staticmethod
     def _config(**kw):
-        return ServiceConfig(heartbeat_every=2, collect_records=False, **kw)
+        return ServiceConfig(heartbeat_every=2, **kw)
 
     @staticmethod
     def _work(tmp_path, trace, **kw):

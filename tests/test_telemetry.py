@@ -394,8 +394,9 @@ def _lognormal_cdf(seed=0, n=20_000):
 
 def test_drift_monitor_validates_params():
     target = _lognormal_cdf()
-    with pytest.raises(ValueError, match="band"):
-        DriftMonitor(target, band=0.0)
+    for band in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="band"):
+            DriftMonitor(target, band=band)
     with pytest.raises(ValueError, match="window"):
         DriftMonitor(target, window=1)
     with pytest.raises(ValueError, match="min_samples"):
@@ -552,3 +553,56 @@ def test_resilient_replay_observes_drift_online():
     assert result.outcomes is not None
     assert monitor.n_observed == req.n_requests
     assert len(monitor.warnings) > 0
+
+
+def test_replay_drift_is_the_same_in_every_dispatch_mode(tmp_path):
+    """Unpaced, paced, resilient and killed-then-resumed replays leave
+    the monitor in the same state as observing the dispatched requests
+    directly: a resumed replay, the requests from its resume offset."""
+    from dataclasses import replace as dc_replace
+
+    from repro.loadgen import RetryPolicy, replay
+
+    spec, req = _spec_and_trace(seed=2)
+    # skewed runtimes, so windows differ and some fire
+    req = dc_replace(req, runtimes_ms=req.runtimes_ms * 2.0)
+    target = spec.invocation_duration_cdf()
+
+    def monitor():
+        return DriftMonitor(target, band=0.2, window=256)
+
+    def state(m):
+        return (m.n_observed, m.n_windows, m.last_ks, m.warnings)
+
+    def fed(start):
+        m = monitor()
+        m.observe_many(req.runtimes_ms[start:], req.timestamps_s[start:])
+        m.flush()
+        return state(m)
+
+    retry = RetryPolicy(max_attempts=2)
+    reference = fed(0)
+    assert reference[1] > 2 and reference[3]
+    for kw in ({}, {"speed": 1e6}, {"retry": retry}):
+        m = monitor()
+        replay(req, _NullBackend(), drift=m, **kw)
+        assert state(m) == reference, kw
+
+    class _KillAt(_NullBackend):
+        def __init__(self, n):
+            self.left = n
+
+        def invoke(self, timestamp_s, workload_id):
+            self.left -= 1
+            if self.left < 0:
+                raise KeyboardInterrupt
+
+    path = tmp_path / "replay.ckpt"
+    killed = monitor()
+    with pytest.raises(KeyboardInterrupt):
+        replay(req, _KillAt(700), retry=retry, checkpoint_path=path,
+               checkpoint_every=300, drift=killed)
+    m = monitor()
+    replay(req, _NullBackend(), retry=retry, checkpoint_path=path,
+           checkpoint_every=300, resume=True, drift=m)
+    assert state(m) == fed(600)
