@@ -353,7 +353,9 @@ def _cmd_replay_service(args, spec, registry, drift, retry) -> int:
         lag = cov.dispatch_lag_ms
         print(f"  dispatch lag        : mean {lag['mean']:.2f} ms, "
               f"p99 {lag['p99']:.2f} ms, "
-              f"late {lag['late_fraction']:.2%}")
+              f"late {lag['late_fraction']:.2%} "
+              f"(backlog {lag['late_backlog_fraction']:.2%}, "
+              f"oversleep {lag['late_oversleep_fraction']:.2%})")
     if result.records:
         summary = summarize(result.records)
         lat = summary["latency_ms"]

@@ -9,8 +9,10 @@ are shareable and repeatable (the consistency goal of paper section 3).
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -176,8 +178,29 @@ class ExperimentSpec:
         )
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()))
+        Path(path).write_bytes(json.dumps(self.to_dict()).encode("utf-8"))
 
     @classmethod
     def load(cls, path: Path | str) -> ExperimentSpec:
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read the spec saved at ``path``.
+
+        The file's bytes are parsed once per process: loading the same
+        content again (a spec-path backend factory called once per
+        service shard, say) copies the memoised parse.  The memo is
+        keyed on the content, not on the path or its mtime, so a
+        rewritten file is never served stale.  Each call returns an
+        independent spec: its own ``entries`` list (of the shared,
+        frozen entries), ``per_minute`` array and ``metadata``.  An
+        invalid file raises on every call.
+        """
+        spec = _parse_spec(Path(path).read_bytes())
+        return replace(spec, entries=list(spec.entries),
+                       per_minute=spec.per_minute.copy(),
+                       metadata=copy.deepcopy(spec.metadata))
+
+
+@lru_cache(maxsize=1)
+def _parse_spec(data: bytes) -> ExperimentSpec:
+    """The spec in ``data``, parsed once per content per process; only
+    :meth:`ExperimentSpec.load` reads it, and it hands out copies."""
+    return ExperimentSpec.from_dict(json.loads(data))

@@ -12,13 +12,14 @@ replay is a one-shard call of the load service's dispatch loop
 the package: it paces (finite ``speed`` only) from an epoch taken at
 loop start, then submits.  With no resilience option it sends through
 the backend's ``invoke`` (or ``invoke_at`` with the scheduled send time),
-so a backend failure propagates; otherwise through
-:func:`~repro.loadgen.resilience.deliver`, which applies the
+so a backend failure propagates.  Otherwise each request gets an
+outcome from the :data:`~repro.loadgen.resilience.OUTCOMES` taxonomy --
+from :func:`~repro.loadgen.resilience.deliver`, which applies the
 :class:`~repro.loadgen.resilience.RetryPolicy` and
-:class:`~repro.loadgen.resilience.CircuitBreaker` and returns a
-per-request outcome from the :data:`~repro.loadgen.resilience.OUTCOMES`
-taxonomy, and it periodically checkpoints progress so a killed replay
-can resume.  A replay has no heartbeat and never sheds for lag.
+:class:`~repro.loadgen.resilience.CircuitBreaker`, or, with neither, from
+its one send -- and the loop periodically checkpoints progress so a
+killed replay can resume.  A replay has no heartbeat and never sheds for
+lag.
 """
 
 from __future__ import annotations
@@ -262,10 +263,11 @@ def replay(
         stamped with its last request's trace time.
 
     Any of ``retry`` / ``breaker`` / ``checkpoint_path`` makes the
-    dispatch loop submit through
-    :func:`~repro.loadgen.resilience.deliver`: invocation failures no
+    dispatch loop keep a per-request ledger: invocation failures no
     longer propagate, and the result carries per-request ``outcomes``
-    and ``attempts``.
+    and ``attempts``, decided by
+    :func:`~repro.loadgen.resilience.deliver` under a retry policy or
+    breaker.
 
     When telemetry is enabled (:func:`repro.telemetry.enable`), every
     replay also folds per-window request counts, the inter-arrival

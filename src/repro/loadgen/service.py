@@ -96,7 +96,10 @@ __all__ = [
 #: Sentinel outcome code marking a ledger slot no shard has filled yet;
 #: reconciliation proves none survive.  Distinct from every real code.
 UNACCOUNTED = np.uint8(255)
+_OK = OUTCOMES.index("ok")
+_ERROR = OUTCOMES.index("error")
 _SHED = OUTCOMES.index("shed")
+_DROPPED = OUTCOMES.index("dropped")
 
 #: Longest the supervisor waits on worker pipes before re-checking
 #: liveness, heartbeat timeouts and the service deadline.
@@ -315,19 +318,24 @@ def _shard_checkpoint_path(service_dir: str, shard: int) -> Path:
 
 
 def _sleep_until(target_wall_s: float, heartbeat, max_slice_s: float,
-                 ) -> None:
+                 ) -> bool:
     """Open-loop pacer: sleep toward an *absolute* wall-clock target.
 
     Sleeps in bounded slices so a paced worker keeps heartbeating even
     through sparse stretches of the trace; the loop re-reads the clock,
-    so oversleep never accumulates across requests.
+    so oversleep never accumulates across requests.  Returns whether it
+    slept at all: a request sent late without a sleep was late because
+    the sends before it ran past its send time (backlog), one sent late
+    after a sleep because the pacer woke late (oversleep).
     """
+    slept = False
     while True:
         # repro: allow-wall-clock (pacer: real time is the point)
         delay = target_wall_s - time.time()
         if delay <= 0:
-            return
+            return slept
         time.sleep(min(delay, max_slice_s))
+        slept = True
         if heartbeat is not None:
             heartbeat(-1)
 
@@ -355,13 +363,21 @@ def _dispatch(backend: Backend, timestamps: np.ndarray,
     finite ``speed`` schedules each send open-loop at ``epoch_wall_s +
     ts / speed`` (the epoch defaults to ``clock()`` at loop start),
     sleeps toward it with :func:`_sleep_until`, records the dispatch lag
-    and sheds the request (outcome ``shed``) once it lags past
-    ``max_lag_s``.  Each request's outcome comes from
-    :func:`~repro.loadgen.resilience.deliver`; its ``send`` adds the keyed
-    ``fault_plan`` errors and calls the backend's ``invoke_at``, when its
-    type defines one, with the scheduled send time and the remaining
-    deadline.  ``plain`` skips ``deliver``: a backend failure propagates
-    and ``outcomes``/``attempts`` come back ``None``.
+    (and, in ``overslept``, which late sends followed a sleep) and sheds
+    the request (outcome ``shed``) once it lags past ``max_lag_s``.
+
+    The ``send`` adds the keyed ``fault_plan`` errors and calls the
+    backend's ``invoke_at``, when its type defines one, with the
+    scheduled send time and the remaining deadline; without either it
+    is the backend's bound ``invoke``.  With a ``retry`` policy or a
+    ``breaker`` each request's outcome comes from
+    :func:`~repro.loadgen.resilience.deliver`.  Without them a request
+    can only end ``ok``, ``error`` (the send raised) or ``dropped`` (the
+    exception's ``retryable`` is false), after one attempt -- what
+    ``deliver`` returns with no policy -- so the loop sends once and
+    writes a ledger slot only for a request that fails or is shed; the
+    rest keep the ledger's initial ``ok``/1.  ``plain`` lets a send's
+    failure propagate, and ``outcomes``/``attempts`` come back ``None``.
 
     ``heartbeat(progress)`` is called every ``heartbeat_every`` requests
     and through long pacing sleeps.  With ``checkpoint_path`` the ledger
@@ -381,9 +397,13 @@ def _dispatch(backend: Backend, timestamps: np.ndarray,
     wid_list = workload_ids.tolist()
     outcomes = attempts = None
     if not plain:
-        outcomes = np.zeros(n, dtype=np.uint8)
-        attempts = np.zeros(n, dtype=np.int32)
+        # a request with no retry policy or breaker that neither fails
+        # nor is shed ends ok after one attempt; every other request
+        # overwrites its slots
+        outcomes = np.full(n, _OK, dtype=np.uint8)
+        attempts = np.ones(n, dtype=np.int32)
     lag_ms = np.zeros(n, dtype=np.float64)
+    overslept = np.zeros(n, dtype=bool)
 
     invoke = backend.invoke
     # looked up on the type, as invoke_many is: a decorator that only
@@ -392,9 +412,11 @@ def _dispatch(backend: Backend, timestamps: np.ndarray,
                  if getattr(type(backend), "invoke_at", None) is not None
                  else None)
     inject = (fault_plan is not None and fault_plan.error_rate > 0)
+    use_deliver = retry is not None or breaker is not None
+    direct = invoke_at is None and not inject
     scheduled_wall = None
 
-    if invoke_at is None and not inject:
+    if direct:
         def send(ts, wid, i, attempt, deadline_left_s):
             invoke(ts, wid)
     else:
@@ -445,10 +467,12 @@ def _dispatch(backend: Backend, timestamps: np.ndarray,
             ts = ts_list[j]
             if pace:
                 scheduled_wall = epoch + ts / speed
-                _sleep_until(scheduled_wall, heartbeat, hb_slice)
+                slept = _sleep_until(scheduled_wall, heartbeat, hb_slice)
                 lag = clock() - scheduled_wall
                 if lag > 0:
                     lag_ms[j] = lag * 1e3
+                    if slept:  # late after a sleep: the pacer woke late
+                        overslept[j] = True
                     if max_lag_s is not None and lag > max_lag_s:
                         # overload: shed the admission explicitly
                         # instead of letting the schedule silently slip
@@ -458,15 +482,24 @@ def _dispatch(backend: Backend, timestamps: np.ndarray,
                         attempts[j] = 0
                         shed_overload += 1
                         continue
-            if plain:
-                send(ts, wid_list[j], i, 1, None)
+            if use_deliver:
+                code, n_attempts = deliver(send, ts, wid_list[j], i,
+                                           retry, breaker, speed)
+                outcomes[j] = code
+                attempts[j] = n_attempts
+                if code == _SHED:  # overload sheds never reach deliver()
+                    shed_breaker += 1
                 continue
-            code, n_attempts = deliver(send, ts, wid_list[j], i, retry,
-                                       breaker, speed)
-            outcomes[j] = code
-            attempts[j] = n_attempts
-            if code == _SHED:  # overload sheds never reach deliver()
-                shed_breaker += 1
+            try:
+                if direct:
+                    invoke(ts, wid_list[j])
+                else:
+                    send(ts, wid_list[j], i, 1, None)
+            except Exception as exc:
+                if plain:
+                    raise
+                outcomes[j] = (_ERROR if getattr(exc, "retryable", True)
+                               else _DROPPED)
         if log is not None:
             save_checkpoint(log, offset=n, outcomes=outcomes,
                             attempts=attempts)
@@ -477,6 +510,7 @@ def _dispatch(backend: Backend, timestamps: np.ndarray,
         "outcomes": outcomes,
         "attempts": attempts,
         "lag_ms": lag_ms,
+        "overslept": overslept,
         "shed_overload": shed_overload,
         "shed_breaker": shed_breaker,
         "start": start,
@@ -753,6 +787,7 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
     outcomes = np.full(n, UNACCOUNTED, dtype=np.uint8)
     attempts = np.zeros(n, dtype=np.int32)
     lag_ms = np.zeros(n, dtype=np.float64)
+    overslept = np.zeros(n, dtype=bool)
     parts: list[Sequence] = []
     per_shard: list[dict[str, int]] = []
     shed_overload = 0
@@ -767,6 +802,8 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
             outcomes[lo:hi] = payload["outcomes"]
             attempts[lo:hi] = payload["attempts"]
             lag_ms[lo:hi] = payload["lag_ms"]
+            if pace:
+                overslept[lo:hi] = payload["overslept"]
             parts.append(payload["records"])
             shed_overload += payload["shed_overload"]
             shed_breaker += payload["shed_breaker"]
@@ -789,13 +826,17 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
     digest = hashlib.sha256()
     digest.update(outcomes.tobytes())
     digest.update(attempts.tobytes())
-    lag_summary = dict.fromkeys(("mean", "max", "p99", "late_fraction"),
-                                0.0)
+    lag_summary = dict.fromkeys(
+        ("mean", "max", "p99", "late_fraction", "late_backlog_fraction",
+         "late_oversleep_fraction"), 0.0)
     if pace:
-        lag = dispatch_lag_summary(lag_ms)
-        lag_summary.update(mean=lag["mean_ms"], max=lag["max_ms"],
-                           p99=lag["p99_ms"],
-                           late_fraction=lag["late_fraction"])
+        lag = dispatch_lag_summary(lag_ms, overslept=overslept)
+        lag_summary.update(
+            mean=lag["mean_ms"], max=lag["max_ms"], p99=lag["p99_ms"],
+            late_fraction=lag["late_fraction"],
+            late_backlog_fraction=lag["late_backlog_fraction"],
+            late_oversleep_fraction=lag["late_oversleep_fraction"],
+        )
     coverage = CoverageReport(
         n_scheduled=n,
         n_shards=len(bounds),
@@ -852,6 +893,15 @@ def _record_service_telemetry(reg, trace: RequestTrace,
             "service_dispatch_lag_ms",
             "intended-vs-actual dispatch lag per request (ms)",
         ).observe_many(result.lag_ms)
+        lag, n = cov.dispatch_lag_ms, cov.n_scheduled
+        reg.counter("service_late_total",
+                    "requests sent over 1 ms late, by cause",
+                    labels={"cause": "backlog"},
+                    ).inc(round(lag["late_backlog_fraction"] * n))
+        reg.counter("service_late_total",
+                    "requests sent over 1 ms late, by cause",
+                    labels={"cause": "oversleep"},
+                    ).inc(round(lag["late_oversleep_fraction"] * n))
     # the classic replay post-pass (per-window counts, inter-arrival
     # histogram, outcome counters) applies unchanged to the merged result
     _record_replay_telemetry(reg, trace, result, breaker=None)

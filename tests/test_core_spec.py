@@ -1,5 +1,10 @@
 """Tests for ExperimentSpec model and serialisation."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -105,3 +110,95 @@ class TestSpecSerialisation:
         again = ExperimentSpec.from_dict(spec.to_dict())
         assert again.per_minute.dtype == np.int64
         assert again.entries[0].runtime_ms == spec.entries[0].runtime_ms
+
+
+class TestSpecLoadMemo:
+    """``ExperimentSpec.load`` parses each content once per process and
+    hands out independent copies."""
+
+    def test_load_equals_from_dict_of_the_text(self, tmp_path):
+        path = tmp_path / "spec.json"
+        make_spec().save(path)
+        loaded = ExperimentSpec.load(path)
+        expected = ExperimentSpec.from_dict(
+            json.loads(path.read_text(encoding="utf-8")))
+        assert loaded.to_dict() == expected.to_dict()
+        assert loaded.entries == expected.entries
+        assert loaded.per_minute.dtype == expected.per_minute.dtype
+
+    def test_rewrite_with_same_size_and_mtime_loads_new_content(
+            self, tmp_path):
+        path = tmp_path / "spec.json"
+        make_spec().save(path)
+        first = ExperimentSpec.load(path)
+        stat = path.stat()
+        text = path.read_text(encoding="utf-8")
+        assert '"test-spec"' in text
+        path.write_text(text.replace('"test-spec"', '"best-spec"'),
+                        encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        again = path.stat()
+        assert (again.st_size, again.st_mtime_ns) == \
+            (stat.st_size, stat.st_mtime_ns)
+        assert first.name == "test-spec"
+        assert ExperimentSpec.load(path).name == "best-spec"
+
+    def test_mutating_a_loaded_spec_leaves_the_next_load_alone(
+            self, tmp_path):
+        path = tmp_path / "spec.json"
+        make_spec().save(path)
+        spec = ExperimentSpec.load(path)
+        # to_dict shares the metadata dict: snapshot it through JSON
+        reference = json.loads(json.dumps(spec.to_dict()))
+        spec.entries.pop()
+        spec.entries[0] = SpecEntry("other", "w:9", "pyaes", 1.0, 1.0)
+        spec.per_minute[:] = 99
+        spec.metadata["seed"] = 7
+        spec.metadata["nested"] = {"k": [1]}
+        assert ExperimentSpec.load(path).to_dict() == reference
+
+    def test_nested_metadata_is_copied_deeply(self, tmp_path):
+        path = tmp_path / "spec.json"
+        spec = make_spec()
+        spec.metadata["stages"] = {"map": [1, 2]}
+        spec.save(path)
+        ExperimentSpec.load(path).metadata["stages"]["map"].append(3)
+        assert ExperimentSpec.load(path).metadata["stages"] == \
+            {"map": [1, 2]}
+
+    @pytest.mark.parametrize("text, match", [
+        ("{not json", "Expecting"),
+        ('{"version": 999}', "version"),
+    ])
+    def test_invalid_file_raises_on_every_call(self, tmp_path, text,
+                                               match):
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                ExperimentSpec.load(path)
+
+    def test_encoding_does_not_depend_on_the_locale(self, tmp_path):
+        """A spec holding non-ASCII text as raw UTF-8 loads, and saves as
+        UTF-8, in a process whose locale encoding is ASCII."""
+        path = tmp_path / "spec.json"
+        data = make_spec().to_dict()
+        data["metadata"]["note"] = "Zürich – λ"
+        path.write_bytes(json.dumps(data, ensure_ascii=False)
+                         .encode("utf-8"))
+        script = (
+            "import locale, sys\n"
+            "from repro.core import ExperimentSpec\n"
+            "assert locale.getpreferredencoding(False) != 'UTF-8'\n"
+            "spec = ExperimentSpec.load(sys.argv[1])\n"
+            "assert spec.metadata['note'] == 'Z\\xfcrich \\u2013 \\u03bb'\n"
+            "spec.save(sys.argv[2])\n"
+        )
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        saved = tmp_path / "saved.json"
+        subprocess.run([sys.executable, "-c", script, str(path),
+                        str(saved)], env=env, check=True)
+        assert json.loads(saved.read_bytes().decode("utf-8")) \
+            ["metadata"]["note"] == "Zürich – λ"

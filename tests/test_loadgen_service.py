@@ -663,9 +663,11 @@ class TestShardLoopEdges:
         from repro.loadgen.service import _sleep_until
 
         beats = []
-        _sleep_until(time.time() + 0.25, beats.append,
-                     max_slice_s=0.05)
+        assert _sleep_until(time.time() + 0.25, beats.append,
+                            max_slice_s=0.05) is True
         assert beats and set(beats) == {-1}
+        assert _sleep_until(time.time() - 1.0, beats.append,
+                            max_slice_s=0.05) is False
 
     def test_prepare_service_dir_clears_stale_state(self, tmp_path):
         from repro.loadgen.service import _prepare_service_dir
@@ -696,3 +698,174 @@ class TestShardLoopEdges:
             ServiceConfig(service_timeout_s=0.0)
         cfg = ServiceConfig(start_method="spawn")
         assert cfg.resolved_start_method() == "spawn"
+
+
+class _KeyedVerdictBackend:
+    """Fails as a pure function of the request: about one request in
+    five raises a retryable error and one in five a non-retryable one
+    (keyed on crc32, so every worker process agrees)."""
+
+    def invoke(self, timestamp_s, workload_id):
+        key = zlib.crc32(f"{timestamp_s:.9f}:{workload_id}".encode()) % 5
+        if key == 0:
+            raise RuntimeError("keyed retryable failure")
+        if key == 1:
+            raise _NonRetryableError("keyed permanent rejection")
+
+    def drain(self):
+        return []
+
+
+class _InterruptAt(_KeyedVerdictBackend):
+    """Stops the whole run (not just a request) at one timestamp."""
+
+    def __init__(self, at_ts):
+        self.at_ts = at_ts
+
+    def invoke(self, timestamp_s, workload_id):
+        if timestamp_s == self.at_ts:
+            raise KeyboardInterrupt
+        super().invoke(timestamp_s, workload_id)
+
+
+def _deliver_reference(trace, backend, fault_plan=None):
+    """The ledger that ``deliver`` with no retry policy or breaker gives,
+    one request at a time over the whole trace."""
+    from repro.loadgen.resilience import deliver
+    from repro.loadgen.service import ServiceInjectedError
+
+    def send(ts, wid, i, attempt, deadline_left_s):
+        if fault_plan is not None and fault_plan.should_error(i, attempt):
+            raise ServiceInjectedError(f"request {i}")
+        backend.invoke(ts, wid)
+
+    n = trace.n_requests
+    outcomes = np.empty(n, dtype=np.uint8)
+    attempts = np.empty(n, dtype=np.int32)
+    for i, (ts, wid) in enumerate(zip(trace.timestamps_s.tolist(),
+                                      trace.workload_ids.tolist())):
+        outcomes[i], attempts[i] = deliver(send, ts, wid, i, None, None,
+                                           float("inf"))
+    return outcomes, attempts
+
+
+class TestNoPolicyLedger:
+    """Without a retry policy or breaker a shard sends each request once
+    and writes only the failures; its ledger must equal ``deliver``'s."""
+
+    @staticmethod
+    def _assert_equals_reference(result, reference):
+        outcomes, attempts = reference
+        assert result.coverage.ok
+        assert result.outcomes.tobytes() == outcomes.tobytes()
+        assert result.attempts.tobytes() == attempts.tobytes()
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("with_faults", [False, True])
+    def test_no_policy_ledger_equals_deliver_reference(
+            self, tmp_path, workers, with_faults):
+        trace = make_trace(n=300)
+        plan = (ServiceFaultPlan(error_rate=0.2, seed=4)
+                if with_faults else None)
+        reference = _deliver_reference(trace, _KeyedVerdictBackend(), plan)
+        # the comparison covers every outcome a no-policy send can have
+        assert {OUTCOME_CODES[k] for k in ("ok", "error", "dropped")} == \
+            set(reference[0].tolist())
+        result = run_service(trace, _KeyedVerdictBackend,
+                             service_dir=tmp_path,
+                             config=ServiceConfig(workers=workers),
+                             fault_plan=plan)
+        assert len(result.shard_bounds) > 1
+        self._assert_equals_reference(result, reference)
+
+    def test_worker_killed_mid_shard_resumes_to_the_reference(
+            self, tmp_path):
+        trace = make_trace(n=300)
+        reference = _deliver_reference(trace, _KeyedVerdictBackend())
+        crashed = run_service(
+            trace, _crashing(_KeyedVerdictBackend, trace, 50, tmp_path),
+            service_dir=tmp_path / "crash",
+            config=ServiceConfig(workers=1, checkpoint_every=5,
+                                 heartbeat_timeout_s=5.0),
+        )
+        assert crashed.coverage.restarts >= 1
+        self._assert_equals_reference(crashed, reference)
+
+    def test_interrupted_run_resumes_to_the_reference(self, tmp_path):
+        trace = make_trace(n=300)
+        reference = _deliver_reference(trace, _KeyedVerdictBackend())
+        config = ServiceConfig(workers=0, checkpoint_every=5)
+        stop = functools.partial(_InterruptAt,
+                                 float(trace.timestamps_s[50]))
+        with pytest.raises(KeyboardInterrupt):
+            run_service(trace, stop, service_dir=tmp_path, config=config)
+        resumed = run_service(trace, _KeyedVerdictBackend,
+                              service_dir=tmp_path, config=config,
+                              resume=True)
+        # shard 0 finished before the stop; shard 1 resumed from its log
+        assert [s["resumed"] for s in resumed.coverage.per_shard[:3]] == \
+            [1, 1, 0]
+        self._assert_equals_reference(resumed, reference)
+
+
+class TestLatenessByCause:
+    """A late send is *backlog* when the pacer never slept for it and
+    *oversleep* when it slept and woke late."""
+
+    @staticmethod
+    def _trace(ts):
+        n = len(ts)
+        return RequestTrace(np.asarray(ts, dtype=float),
+                            np.array(["w"] * n), np.array([""] * n),
+                            np.full(n, 1.0), np.array(["f"] * n))
+
+    def test_sends_behind_a_slow_backend_are_backlog(self, tmp_path):
+        from repro.telemetry import MetricsRegistry, use
+
+        # every send is due at once; each takes 20 ms, so every send
+        # after the first is late without the pacer sleeping for it (the
+        # first waits out the service's head start, so it may oversleep)
+        trace = self._trace(np.zeros(10))
+        registry = MetricsRegistry()
+        with use(registry):
+            result = run_service(
+                trace, _slow_factory, service_dir=tmp_path,
+                config=ServiceConfig(workers=0, speed=1.0, max_shards=1),
+            )
+        lag = result.coverage.dispatch_lag_ms
+        assert lag["late_backlog_fraction"] == pytest.approx(0.9)
+        assert lag["late_oversleep_fraction"] in (0.0, 0.1)
+        assert lag["late_fraction"] == pytest.approx(
+            lag["late_backlog_fraction"] + lag["late_oversleep_fraction"])
+        late = {c.labels["cause"]: c.value for c in registry.counters()
+                if c.name == "service_late_total"}
+        assert late == {"backlog": 9,
+                        "oversleep": round(lag["late_oversleep_fraction"]
+                                           * 10)}
+
+    def test_a_pacer_that_wakes_late_is_oversleep(self, tmp_path,
+                                                  monkeypatch):
+        real_sleep = time.sleep
+        monkeypatch.setattr(time, "sleep",
+                            lambda s: real_sleep(s + 0.01))
+        # sends 100 ms apart against a null backend: the pacer sleeps
+        # before each one, and every wake-up is 10 ms late
+        trace = self._trace(0.1 * np.arange(1, 6))
+        result = run_service(
+            trace, _null_factory, service_dir=tmp_path,
+            config=ServiceConfig(workers=0, speed=1.0, max_shards=1),
+        )
+        lag = result.coverage.dispatch_lag_ms
+        assert lag["late_fraction"] == 1.0
+        assert lag["late_backlog_fraction"] == 0.0
+        assert lag["late_oversleep_fraction"] == 1.0
+        assert json.loads((tmp_path / "coverage.json").read_text()) \
+            ["dispatch_lag_ms"]["late_oversleep_fraction"] == 1.0
+
+    def test_unpaced_runs_report_no_lateness(self, tmp_path):
+        result = run_service(make_trace(n=40), _null_factory,
+                             service_dir=tmp_path,
+                             config=ServiceConfig(workers=0))
+        lag = result.coverage.dispatch_lag_ms
+        assert lag["late_backlog_fraction"] == 0.0
+        assert lag["late_oversleep_fraction"] == 0.0

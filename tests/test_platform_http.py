@@ -134,6 +134,13 @@ class TestCoordinatedOmissionSafety:
         assert s["n_requests"] == 5
         assert s["max_ms"] == 250.0
         assert s["late_fraction"] == pytest.approx(0.4)
+        assert "late_backlog_fraction" not in s
+        # a flagged send only 0.5 ms late is on time, so no cause
+        lag_ms[1] = 0.5
+        s = dispatch_lag_summary(
+            lag_ms, overslept=np.array([0, 1, 0, 1, 0], dtype=bool))
+        assert s["late_oversleep_fraction"] == pytest.approx(0.2)
+        assert s["late_backlog_fraction"] == pytest.approx(0.2)
         with pytest.raises(ValueError, match="no dispatch lag"):
             dispatch_lag_summary(np.array([]))
 
