@@ -38,6 +38,7 @@ __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
     "deliver",
+    "failure_code",
     "load_checkpoint",
     "open_checkpoint_log",
     "save_checkpoint",
@@ -180,6 +181,13 @@ class CircuitBreaker:
             self.tracer.emit(now_s, kind, -1, "")
 
 
+def failure_code(exc: BaseException) -> int:
+    """Outcome code of a request whose last attempt raised ``exc``:
+    ``dropped`` when the exception's ``retryable`` attribute is false,
+    else ``error``."""
+    return _ERROR if getattr(exc, "retryable", True) else _DROPPED
+
+
 def deliver(send: Callable[..., object], ts: float, workload_id: str,
             index: int, retry: RetryPolicy | None,
             breaker: CircuitBreaker | None,
@@ -212,10 +220,9 @@ def deliver(send: Callable[..., object], ts: float, workload_id: str,
         except Exception as exc:
             if breaker is not None:
                 breaker.record_failure(ts)
-            if not getattr(exc, "retryable", True):
-                return _DROPPED, attempt
-            if attempt >= max_attempts:
-                return _ERROR, attempt
+            code = failure_code(exc)
+            if code == _DROPPED or attempt >= max_attempts:
+                return code, attempt
             backoff = retry.backoff_s(attempt, index)
             if deadline_s is not None and waited_s + backoff > deadline_s:
                 return _TIMEOUT, attempt

@@ -71,6 +71,7 @@ from repro.loadgen.resilience import (
     CircuitBreaker,
     RetryPolicy,
     deliver,
+    failure_code,
     open_checkpoint_log,
     save_checkpoint,
 )
@@ -97,9 +98,7 @@ __all__ = [
 #: reconciliation proves none survive.  Distinct from every real code.
 UNACCOUNTED = np.uint8(255)
 _OK = OUTCOMES.index("ok")
-_ERROR = OUTCOMES.index("error")
 _SHED = OUTCOMES.index("shed")
-_DROPPED = OUTCOMES.index("dropped")
 
 #: Longest the supervisor waits on worker pipes before re-checking
 #: liveness, heartbeat timeouts and the service deadline.
@@ -369,15 +368,16 @@ def _dispatch(backend: Backend, timestamps: np.ndarray,
     The ``send`` adds the keyed ``fault_plan`` errors and calls the
     backend's ``invoke_at``, when its type defines one, with the
     scheduled send time and the remaining deadline; without either it
-    is the backend's bound ``invoke``.  With a ``retry`` policy or a
+    calls the backend's ``invoke``.  With a ``retry`` policy or a
     ``breaker`` each request's outcome comes from
     :func:`~repro.loadgen.resilience.deliver`.  Without them a request
-    can only end ``ok``, ``error`` (the send raised) or ``dropped`` (the
-    exception's ``retryable`` is false), after one attempt -- what
-    ``deliver`` returns with no policy -- so the loop sends once and
-    writes a ledger slot only for a request that fails or is shed; the
-    rest keep the ledger's initial ``ok``/1.  ``plain`` lets a send's
-    failure propagate, and ``outcomes``/``attempts`` come back ``None``.
+    can only end ``ok`` or, when the send raised, with the
+    :func:`~repro.loadgen.resilience.failure_code` of the exception,
+    after one attempt -- what ``deliver`` returns with no policy -- so
+    the loop sends once and writes a ledger slot only for a request
+    that fails or is shed; the rest keep the ledger's initial
+    ``ok``/1.  ``plain`` lets a send's failure propagate, and
+    ``outcomes``/``attempts`` come back ``None``.
 
     ``heartbeat(progress)`` is called every ``heartbeat_every`` requests
     and through long pacing sleeps.  With ``checkpoint_path`` the ledger
@@ -413,10 +413,9 @@ def _dispatch(backend: Backend, timestamps: np.ndarray,
                  else None)
     inject = (fault_plan is not None and fault_plan.error_rate > 0)
     use_deliver = retry is not None or breaker is not None
-    direct = invoke_at is None and not inject
     scheduled_wall = None
 
-    if direct:
+    if invoke_at is None and not inject:
         def send(ts, wid, i, attempt, deadline_left_s):
             invoke(ts, wid)
     else:
@@ -491,15 +490,11 @@ def _dispatch(backend: Backend, timestamps: np.ndarray,
                     shed_breaker += 1
                 continue
             try:
-                if direct:
-                    invoke(ts, wid_list[j])
-                else:
-                    send(ts, wid_list[j], i, 1, None)
+                send(ts, wid_list[j], i, 1, None)
             except Exception as exc:
                 if plain:
                     raise
-                outcomes[j] = (_ERROR if getattr(exc, "retryable", True)
-                               else _DROPPED)
+                outcomes[j] = failure_code(exc)
         if log is not None:
             save_checkpoint(log, offset=n, outcomes=outcomes,
                             attempts=attempts)
@@ -802,8 +797,7 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
             outcomes[lo:hi] = payload["outcomes"]
             attempts[lo:hi] = payload["attempts"]
             lag_ms[lo:hi] = payload["lag_ms"]
-            if pace:
-                overslept[lo:hi] = payload["overslept"]
+            overslept[lo:hi] = payload["overslept"]
             parts.append(payload["records"])
             shed_overload += payload["shed_overload"]
             shed_breaker += payload["shed_breaker"]
@@ -826,17 +820,17 @@ def _reconcile(trace: RequestTrace, bounds: list[tuple[int, int]],
     digest = hashlib.sha256()
     digest.update(outcomes.tobytes())
     digest.update(attempts.tobytes())
-    lag_summary = dict.fromkeys(
-        ("mean", "max", "p99", "late_fraction", "late_backlog_fraction",
-         "late_oversleep_fraction"), 0.0)
+    lag_summary = {"mean": 0.0, "max": 0.0, "p99": 0.0,
+                   "late_fraction": 0.0, "late_backlog": 0,
+                   "late_oversleep": 0, "late_backlog_fraction": 0.0,
+                   "late_oversleep_fraction": 0.0}
     if pace:
-        lag = dispatch_lag_summary(lag_ms, overslept=overslept)
-        lag_summary.update(
-            mean=lag["mean_ms"], max=lag["max_ms"], p99=lag["p99_ms"],
-            late_fraction=lag["late_fraction"],
-            late_backlog_fraction=lag["late_backlog_fraction"],
-            late_oversleep_fraction=lag["late_oversleep_fraction"],
-        )
+        lag = dispatch_lag_summary(lag_ms, overslept)
+        lag_summary.update(mean=lag["mean_ms"], max=lag["max_ms"],
+                           p99=lag["p99_ms"])
+        for key in ("late_fraction", "late_backlog", "late_oversleep",
+                    "late_backlog_fraction", "late_oversleep_fraction"):
+            lag_summary[key] = lag[key]
     coverage = CoverageReport(
         n_scheduled=n,
         n_shards=len(bounds),
@@ -893,15 +887,13 @@ def _record_service_telemetry(reg, trace: RequestTrace,
             "service_dispatch_lag_ms",
             "intended-vs-actual dispatch lag per request (ms)",
         ).observe_many(result.lag_ms)
-        lag, n = cov.dispatch_lag_ms, cov.n_scheduled
+        lag = cov.dispatch_lag_ms
         reg.counter("service_late_total",
                     "requests sent over 1 ms late, by cause",
-                    labels={"cause": "backlog"},
-                    ).inc(round(lag["late_backlog_fraction"] * n))
+                    labels={"cause": "backlog"}).inc(lag["late_backlog"])
         reg.counter("service_late_total",
                     "requests sent over 1 ms late, by cause",
-                    labels={"cause": "oversleep"},
-                    ).inc(round(lag["late_oversleep_fraction"] * n))
+                    labels={"cause": "oversleep"}).inc(lag["late_oversleep"])
     # the classic replay post-pass (per-window counts, inter-arrival
     # histogram, outcome counters) applies unchanged to the merged result
     _record_replay_telemetry(reg, trace, result, breaker=None)

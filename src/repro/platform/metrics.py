@@ -361,9 +361,8 @@ def outcome_summary(result) -> dict:
     }
 
 
-def dispatch_lag_summary(lag_ms: np.ndarray,
-                         *, late_threshold_ms: float = 1.0,
-                         overslept: np.ndarray | None = None) -> dict:
+def dispatch_lag_summary(lag_ms: np.ndarray, overslept: np.ndarray,
+                         *, late_threshold_ms: float = 1.0) -> dict:
     """Intended-vs-actual dispatch lag, the open-loop health signal.
 
     ``lag_ms`` is the per-request lag array a service run records (0 for
@@ -372,29 +371,29 @@ def dispatch_lag_summary(lag_ms: np.ndarray,
     with near-zero lag means the *backend* is slow -- the distinction
     coordinated-omission-safe measurement exists to preserve.
 
-    ``overslept`` (one bool per request: the pacer slept before a late
-    send) splits ``late_fraction`` by cause into
-    ``late_oversleep_fraction`` (the pacer woke late) and
-    ``late_backlog_fraction`` (no sleep: the sends before it ran past
-    its send time); the two sum to ``late_fraction``.
+    ``overslept`` (one bool per request: the pacer slept before the
+    send) splits the late sends by cause into ``late_oversleep`` (the
+    pacer woke late) and ``late_backlog`` (no sleep: the sends before it
+    ran past its send time), given as counts and as fractions of all
+    requests; the two fractions sum to ``late_fraction``.
     """
     lag_ms = np.asarray(lag_ms, dtype=np.float64)
     if lag_ms.size == 0:
         raise ValueError("no dispatch lag samples")
     late = lag_ms > late_threshold_ms
-    out = {
+    n_late = int(np.count_nonzero(late))
+    oversleep = int(np.count_nonzero(late & overslept))
+    return {
         "n_requests": int(lag_ms.size),
         "mean_ms": float(lag_ms.mean()),
         "p99_ms": float(np.percentile(lag_ms, 99)),
         "max_ms": float(lag_ms.max()),
         "late_fraction": float(late.mean()),
+        "late_backlog": n_late - oversleep,
+        "late_oversleep": oversleep,
+        "late_backlog_fraction": (n_late - oversleep) / lag_ms.size,
+        "late_oversleep_fraction": oversleep / lag_ms.size,
     }
-    if overslept is not None:
-        oversleep = int(np.count_nonzero(late & overslept))
-        out["late_oversleep_fraction"] = oversleep / lag_ms.size
-        out["late_backlog_fraction"] = (
-            (int(np.count_nonzero(late)) - oversleep) / lag_ms.size)
-    return out
 
 
 def retry_histogram(attempts: np.ndarray) -> dict[int, int]:

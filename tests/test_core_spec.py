@@ -112,9 +112,38 @@ class TestSpecSerialisation:
         assert again.entries[0].runtime_ms == spec.entries[0].runtime_ms
 
 
-class TestSpecLoadMemo:
-    """``ExperimentSpec.load`` parses each content once per process and
-    hands out independent copies."""
+class TestSpecParsing:
+    """``from_dict`` builds entries without the dataclass ``__init__``
+    for valid rows; it must give what ``SpecEntry(**row)`` gives, and
+    the same errors for invalid rows."""
+
+    def test_entries_equal_the_dataclass_constructor(self):
+        data = make_spec(n=30).to_dict()
+        data["entries"][4] = dict(reversed(data["entries"][4].items()))
+        entries = ExperimentSpec.from_dict(data).entries
+        reference = [SpecEntry(**row) for row in data["entries"]]
+        assert entries == reference
+        assert [type(e) for e in entries] == [SpecEntry] * 30
+        assert [hash(e) for e in entries] == [hash(e) for e in reference]
+        assert [vars(e) for e in entries] == [vars(e) for e in reference]
+        with pytest.raises(AttributeError):
+            entries[0].runtime_ms = 1.0
+
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda row: row.pop("family"), TypeError, "family"),
+        (lambda row: row.update(extra=1), TypeError, "extra"),
+        (lambda row: row.update(runtime_ms=0.0), ValueError, "fn1: runtime"),
+        (lambda row: row.update(memory_mb=-1.0), ValueError, "fn1: memory"),
+        (lambda row: row.update(runtime_ms="5"), TypeError, "str"),
+    ])
+    def test_invalid_rows_raise_as_the_constructor_does(self, edit, error,
+                                                        match):
+        data = make_spec().to_dict()
+        edit(data["entries"][1])
+        with pytest.raises(error, match=match):
+            SpecEntry(**data["entries"][1])
+        with pytest.raises(error, match=match):
+            ExperimentSpec.from_dict(data)
 
     def test_load_equals_from_dict_of_the_text(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -125,58 +154,6 @@ class TestSpecLoadMemo:
         assert loaded.to_dict() == expected.to_dict()
         assert loaded.entries == expected.entries
         assert loaded.per_minute.dtype == expected.per_minute.dtype
-
-    def test_rewrite_with_same_size_and_mtime_loads_new_content(
-            self, tmp_path):
-        path = tmp_path / "spec.json"
-        make_spec().save(path)
-        first = ExperimentSpec.load(path)
-        stat = path.stat()
-        text = path.read_text(encoding="utf-8")
-        assert '"test-spec"' in text
-        path.write_text(text.replace('"test-spec"', '"best-spec"'),
-                        encoding="utf-8")
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        again = path.stat()
-        assert (again.st_size, again.st_mtime_ns) == \
-            (stat.st_size, stat.st_mtime_ns)
-        assert first.name == "test-spec"
-        assert ExperimentSpec.load(path).name == "best-spec"
-
-    def test_mutating_a_loaded_spec_leaves_the_next_load_alone(
-            self, tmp_path):
-        path = tmp_path / "spec.json"
-        make_spec().save(path)
-        spec = ExperimentSpec.load(path)
-        # to_dict shares the metadata dict: snapshot it through JSON
-        reference = json.loads(json.dumps(spec.to_dict()))
-        spec.entries.pop()
-        spec.entries[0] = SpecEntry("other", "w:9", "pyaes", 1.0, 1.0)
-        spec.per_minute[:] = 99
-        spec.metadata["seed"] = 7
-        spec.metadata["nested"] = {"k": [1]}
-        assert ExperimentSpec.load(path).to_dict() == reference
-
-    def test_nested_metadata_is_copied_deeply(self, tmp_path):
-        path = tmp_path / "spec.json"
-        spec = make_spec()
-        spec.metadata["stages"] = {"map": [1, 2]}
-        spec.save(path)
-        ExperimentSpec.load(path).metadata["stages"]["map"].append(3)
-        assert ExperimentSpec.load(path).metadata["stages"] == \
-            {"map": [1, 2]}
-
-    @pytest.mark.parametrize("text, match", [
-        ("{not json", "Expecting"),
-        ('{"version": 999}', "version"),
-    ])
-    def test_invalid_file_raises_on_every_call(self, tmp_path, text,
-                                               match):
-        path = tmp_path / "spec.json"
-        path.write_text(text, encoding="utf-8")
-        for _ in range(3):
-            with pytest.raises(ValueError, match=match):
-                ExperimentSpec.load(path)
 
     def test_encoding_does_not_depend_on_the_locale(self, tmp_path):
         """A spec holding non-ASCII text as raw UTF-8 loads, and saves as

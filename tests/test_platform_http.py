@@ -130,19 +130,20 @@ class TestCoordinatedOmissionSafety:
         from repro.platform import dispatch_lag_summary
 
         lag_ms = np.array([0.0, 0.0, 0.0, 120.0, 250.0])
-        s = dispatch_lag_summary(lag_ms)
+        s = dispatch_lag_summary(lag_ms, np.zeros(5, dtype=bool))
         assert s["n_requests"] == 5
         assert s["max_ms"] == 250.0
         assert s["late_fraction"] == pytest.approx(0.4)
-        assert "late_backlog_fraction" not in s
+        assert (s["late_backlog"], s["late_oversleep"]) == (2, 0)
         # a flagged send only 0.5 ms late is on time, so no cause
         lag_ms[1] = 0.5
         s = dispatch_lag_summary(
-            lag_ms, overslept=np.array([0, 1, 0, 1, 0], dtype=bool))
+            lag_ms, np.array([0, 1, 0, 1, 0], dtype=bool))
+        assert (s["late_backlog"], s["late_oversleep"]) == (1, 1)
         assert s["late_oversleep_fraction"] == pytest.approx(0.2)
         assert s["late_backlog_fraction"] == pytest.approx(0.2)
         with pytest.raises(ValueError, match="no dispatch lag"):
-            dispatch_lag_summary(np.array([]))
+            dispatch_lag_summary(np.array([]), np.array([], dtype=bool))
 
 
 class TestServiceIntegration:
